@@ -41,40 +41,73 @@ pub fn adjusted_rate(
     (current * factor).clamp(lo, hi)
 }
 
+/// The REPLYs of one probing window, folded in as they arrive: whether any
+/// REPLY was heard, and the largest usable λ̂ with the λd it came with
+/// (the first of equals wins). Fixed-size, so a probing node buffers no
+/// REPLYs.
+///
+/// A REPLY whose `desired_rate` is non-positive or non-finite still counts
+/// as heard, but its measurement is ignored rather than fed into
+/// [`adjusted_rate`] (whose positivity assert it would trip): a single
+/// corrupted or adversarial frame must not abort the run.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub(crate) struct ReplyFold {
+    heard: bool,
+    best: Option<(RateMeasurement, f64)>,
+}
+
+impl ReplyFold {
+    /// Folds one REPLY into the window.
+    pub fn push(&mut self, reply: &Reply) {
+        self.heard = true;
+        if !(reply.desired_rate.is_finite() && reply.desired_rate > 0.0) {
+            return;
+        }
+        if let Some(m) = reply.measured_rate {
+            let better = match self.best {
+                None => true,
+                Some((b, _)) => m > b,
+            };
+            if better {
+                self.best = Some((m, reply.desired_rate));
+            }
+        }
+    }
+
+    /// Whether any REPLY was folded in.
+    pub fn heard(&self) -> bool {
+        self.heard
+    }
+
+    /// The node's new rate: Equation 2 applied to the largest λ̂ (the
+    /// lowest resulting rate), or `current` when no REPLY carried a usable
+    /// measurement.
+    pub fn rate(&self, current: f64, bounds: (f64, f64), factor_bounds: (f64, f64)) -> f64 {
+        match self.best {
+            Some((measurement, desired)) => {
+                adjusted_rate(current, desired, measurement, bounds, factor_bounds)
+            }
+            None => current,
+        }
+    }
+}
+
 /// Folds the REPLYs collected during one probing window into the node's new
 /// rate: picks the largest λ̂ (the lowest resulting rate) and applies
-/// Equation 2; keeps `current` when no REPLY carried a measurement yet.
-///
-/// A REPLY whose `desired_rate` is non-positive or non-finite is ignored
-/// rather than fed into [`adjusted_rate`] (whose positivity assert it would
-/// trip): a single corrupted or adversarial frame must not abort the run.
+/// Equation 2; keeps `current` when no REPLY carried a usable measurement.
+/// A REPLY with a non-positive or non-finite `desired_rate` is ignored.
+/// This is the fold a probing node applies REPLY by REPLY as they arrive.
 pub fn rate_from_replies<'a>(
     current: f64,
     bounds: (f64, f64),
     factor_bounds: (f64, f64),
     replies: impl IntoIterator<Item = &'a Reply>,
 ) -> f64 {
-    let mut best: Option<(RateMeasurement, f64)> = None;
+    let mut fold = ReplyFold::default();
     for reply in replies {
-        if !(reply.desired_rate.is_finite() && reply.desired_rate > 0.0) {
-            continue;
-        }
-        if let Some(m) = reply.measured_rate {
-            let better = match best {
-                None => true,
-                Some((b, _)) => m > b,
-            };
-            if better {
-                best = Some((m, reply.desired_rate));
-            }
-        }
+        fold.push(reply);
     }
-    match best {
-        Some((measurement, desired)) => {
-            adjusted_rate(current, desired, measurement, bounds, factor_bounds)
-        }
-        None => current,
-    }
+    fold.rate(current, bounds, factor_bounds)
 }
 
 #[cfg(test)]

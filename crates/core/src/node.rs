@@ -16,11 +16,13 @@
 //! * `Probing` —window silent→ `Working`: work until death;
 //! * `Working` —overheard REPLY with larger `Tw` (Section 4)→ `Sleeping`.
 
+use std::sync::Arc;
+
 use peas_des::rng::SimRng;
 use peas_des::time::{SimDuration, SimTime};
 use peas_radio::{NodeId, RxInfo};
 
-use crate::adaptive::rate_from_replies;
+use crate::adaptive::ReplyFold;
 use crate::config::PeasConfig;
 use crate::msg::{Message, Reply};
 use crate::rate::RateEstimator;
@@ -132,14 +134,15 @@ pub enum Action {
 #[derive(Clone, Debug)]
 pub struct PeasNode {
     id: NodeId,
-    config: PeasConfig,
+    /// Shared by every node of a network: hosts build it once.
+    config: Arc<PeasConfig>,
     mode: Mode,
     /// Current per-node probing rate λ.
     rate: f64,
     estimator: RateEstimator,
     work_started: Option<SimTime>,
-    /// REPLYs collected during the open probing window.
-    window_replies: Vec<Reply>,
+    /// The REPLYs of the open probing window, folded as they arrive.
+    window: ReplyFold,
     /// Whether a REPLY backoff timer is outstanding.
     reply_pending: bool,
     stats: NodeStats,
@@ -155,6 +158,16 @@ impl PeasNode {
     ///
     /// Panics if `config` is invalid (see [`PeasConfig::validate`]).
     pub fn new(id: NodeId, config: PeasConfig) -> PeasNode {
+        PeasNode::with_shared_config(id, Arc::new(config))
+    }
+
+    /// Like [`PeasNode::new`], but shares `config` with the other nodes
+    /// built from the same `Arc` instead of carrying a copy of its own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` is invalid (see [`PeasConfig::validate`]).
+    pub fn with_shared_config(id: NodeId, config: Arc<PeasConfig>) -> PeasNode {
         if let Err(e) = config.validate() {
             panic!("{e}");
         }
@@ -168,7 +181,7 @@ impl PeasNode {
             rate,
             estimator,
             work_started: None,
-            window_replies: Vec::new(),
+            window: ReplyFold::default(),
             reply_pending: false,
             stats: NodeStats::default(),
         }
@@ -206,7 +219,7 @@ impl PeasNode {
     pub fn kill(&mut self) -> Vec<Action> {
         self.mode = Mode::Dead;
         self.reply_pending = false;
-        self.window_replies.clear();
+        self.window = ReplyFold::default();
         vec![
             Action::Cancel(Timer::Wake),
             Action::Cancel(Timer::ProbeSend),
@@ -221,7 +234,7 @@ impl PeasNode {
         }
         self.mode = Mode::Probing;
         self.stats.wakeups += 1;
-        self.window_replies.clear();
+        self.window = ReplyFold::default();
         let mut actions = Vec::with_capacity(self.config.probe_count as usize + 1);
         for _ in 0..self.config.probe_count {
             actions.push(Action::Schedule {
@@ -251,7 +264,7 @@ impl PeasNode {
         if self.mode != Mode::Probing {
             return Vec::new();
         }
-        if self.window_replies.is_empty() {
+        if !self.window.heard() {
             // No working node within Rp: take over (Figure 1, "no REPLY
             // for the PROBE").
             self.stats.window_silent += 1;
@@ -266,13 +279,12 @@ impl PeasNode {
         } else {
             // Working neighbor(s) exist: adapt λ and sleep again.
             self.stats.window_with_reply += 1;
-            self.rate = rate_from_replies(
+            self.rate = self.window.rate(
                 self.rate,
                 self.config.rate_bounds,
                 self.config.adjust_factor_bounds,
-                self.window_replies.iter(),
             );
-            self.window_replies.clear();
+            self.window = ReplyFold::default();
             self.mode = Mode::Sleeping;
             vec![Action::Schedule {
                 timer: Timer::Wake,
@@ -345,7 +357,7 @@ impl PeasNode {
             }
             (Mode::Probing, Message::Reply(reply)) => {
                 self.stats.replies_heard += 1;
-                self.window_replies.push(reply);
+                self.window.push(&reply);
                 Vec::new()
             }
             // A probing node ignores other nodes' PROBEs; sleeping nodes
@@ -395,16 +407,6 @@ impl PeasNode {
         } else {
             my_tw < reply.working_time
         };
-        if std::env::var("PEAS_TRACE_TURNOFF").is_ok() {
-            eprintln!(
-                "TURNOFF-EVAL me={} from={} my_tw={:.3} sender_tw={:.3} yield={}",
-                self.id.0,
-                from.0,
-                my_tw.as_secs_f64(),
-                reply.working_time.as_secs_f64(),
-                i_yield
-            );
-        }
         if !i_yield {
             return Vec::new(); // the sender is newer; it should yield, not us
         }
@@ -460,10 +462,10 @@ impl PeasNode {
         self.reply_pending
     }
 
-    /// The REPLYs collected in the currently open probing window.
-    /// Empty outside `Probing`. Exposed for host-side invariant checking.
-    pub fn window_replies(&self) -> &[Reply] {
-        &self.window_replies
+    /// Whether a REPLY arrived in the currently open probing window. False
+    /// outside `Probing`. Exposed for host-side invariant checking.
+    pub fn heard_window_reply(&self) -> bool {
+        self.window.heard()
     }
 
     /// The instant the node last entered `Working`, if it is working.
@@ -946,6 +948,19 @@ mod tests {
         assert_eq!(n.stats().window_with_reply, 10);
         // λ̂ exactly λd keeps λ fixed.
         assert!((n.rate() - 0.1).abs() < 1e-9);
+    }
+
+    #[test]
+    fn node_footprint_stays_small() {
+        // A million-node world carries one PeasNode per sensor. The config
+        // is shared behind an Arc and the REPLY window is a fixed-size
+        // fold, so neither a config copy nor a REPLY buffer may move back
+        // into every node.
+        assert!(
+            std::mem::size_of::<PeasNode>() <= 224,
+            "PeasNode grew to {} bytes",
+            std::mem::size_of::<PeasNode>()
+        );
     }
 
     #[test]

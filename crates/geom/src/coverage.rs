@@ -205,11 +205,15 @@ impl CoverageGrid {
         }
     }
 
-    /// Collects the indices of the cells whose centers lie inside the disc
-    /// of `sensing_range` around `w`, in row-major order, appending to
-    /// `out`. This is the build step for [`CoverageCsr`]: the cell set is
-    /// exactly the set [`CoverageGrid::add_disc`] would increment.
-    pub fn disc_cells_into(&self, w: Point, sensing_range: f64, out: &mut Vec<u32>) {
+    /// Appends the cells whose centers lie inside the disc of
+    /// `sensing_range` around `w` to `out` as `(first cell, count)` runs,
+    /// one per lattice row the disc covers, in row-major order. This is the
+    /// build step for [`CoverageCsr`]: the cell set is exactly the set
+    /// [`CoverageGrid::add_disc`] would increment.
+    ///
+    /// A disc meets a row in one run of columns: `dx * dx` is monotone in
+    /// `|dx|` under rounding, and the columns' `dx` grow with their index.
+    pub fn disc_runs_into(&self, w: Point, sensing_range: f64, out: &mut Vec<(u32, u32)>) {
         let r2 = sensing_range * sensing_range;
         let (lo_i, hi_i) = self.col_span(w.x, sensing_range);
         let (lo_j, hi_j) = self.row_span(w.y, sensing_range);
@@ -219,14 +223,26 @@ impl CoverageGrid {
             if dy2 > r2 {
                 continue;
             }
-            let row = j * self.cols;
-            for (i, &x) in self.xs[lo_i..=hi_i].iter().enumerate() {
+            let inside = |x: &f64| {
                 let dx = x - w.x;
-                if dx * dx + dy2 <= r2 {
-                    // peas-lint: allow(r3-unchecked-cast) -- sample indices are bounded by the grid size, validated below u32
-                    out.push((row + lo_i + i) as u32);
-                }
-            }
+                dx * dx + dy2 <= r2
+            };
+            let xs = &self.xs[lo_i..=hi_i];
+            let Some(first) = xs.iter().position(inside) else {
+                continue;
+            };
+            let count = xs[first..].iter().take_while(|x| inside(x)).count();
+            debug_assert!(
+                !xs[first + count..].iter().any(inside),
+                "a disc meets a lattice row in more than one run"
+            );
+            let first_cell = j * self.cols + lo_i + first;
+            out.push((
+                // peas-lint: allow(r3-unchecked-cast) -- sample indices are bounded by the grid size, validated below u32
+                first_cell as u32,
+                // peas-lint: allow(r3-unchecked-cast) -- a run never exceeds one lattice row, a fraction of the grid size
+                count as u32,
+            ));
         }
     }
 
@@ -300,11 +316,12 @@ impl CoverageGrid {
 /// Precomputed node→cell coverage rows for a static topology.
 ///
 /// Built once per deployment, [`CoverageCsr`] stores each node's covered
-/// cell indices as a compressed-sparse-row table (`offsets` + flat `cells`),
-/// so maintaining per-cell coverage counts as nodes start and stop working
+/// cells as a compressed-sparse-row table (`offsets` + flat `runs`), so
+/// maintaining per-cell coverage counts as nodes start and stop working
 /// becomes a pure counter walk — no floating-point work, no disc
-/// rasterization — on the hot mode-transition path. Memory is O(Σ degree):
-/// one `u32` per (node, covered cell) pair.
+/// rasterization — on the hot mode-transition path. A disc meets each
+/// lattice row in one run of columns, so a node's row holds one
+/// `(first cell, count)` pair per covered lattice row.
 ///
 /// # Examples
 ///
@@ -324,10 +341,11 @@ impl CoverageGrid {
 #[derive(Clone, Debug)]
 pub struct CoverageCsr {
     sample_count: usize,
-    /// `offsets[i]..offsets[i + 1]` indexes node `i`'s covered cells.
+    /// `offsets[i]..offsets[i + 1]` indexes node `i`'s runs.
     offsets: Vec<u32>,
-    /// Covered cell indices, row-major within each node's row.
-    cells: Vec<u32>,
+    /// `(first cell, count)` runs of covered cells, row-major within each
+    /// node's row.
+    runs: Vec<(u32, u32)>,
 }
 
 impl CoverageCsr {
@@ -349,39 +367,40 @@ impl CoverageCsr {
         );
         let workers = crate::par::build_workers(positions.len());
         let chunks = crate::par::chunked_build(positions.len(), workers, |span| {
-            let mut cells = Vec::new();
+            let mut runs = Vec::new();
             let mut row_ends = Vec::with_capacity(span.len());
             for &p in &positions[span] {
-                grid.disc_cells_into(p, sensing_range, &mut cells);
-                row_ends.push(cells.len());
+                grid.disc_runs_into(p, sensing_range, &mut runs);
+                row_ends.push(runs.len());
             }
-            (cells, row_ends)
+            (runs, row_ends)
         });
-        let total: usize = chunks.iter().map(|(c, _)| c.len()).sum();
+        let total: usize = chunks.iter().map(|(r, _)| r.len()).sum();
         let _cap = u32::try_from(total)
-            // peas-lint: allow(r1-unchecked-panic) -- u32 offsets are a deliberate CSR size cap; >4G cells means a misconfigured field
-            .expect("more than u32::MAX covered cells");
+            // peas-lint: allow(r1-unchecked-panic) -- u32 offsets are a deliberate CSR size cap; >4G runs means a misconfigured field
+            .expect("more than u32::MAX coverage runs");
         let mut offsets = Vec::with_capacity(positions.len() + 1);
-        let mut cells = Vec::with_capacity(total);
+        let mut runs = Vec::with_capacity(total);
         offsets.push(0);
-        for (chunk_cells, row_ends) in chunks {
-            let base = cells.len();
-            cells.extend_from_slice(&chunk_cells);
+        for (chunk_runs, row_ends) in chunks {
+            let base = runs.len();
+            runs.extend_from_slice(&chunk_runs);
             // peas-lint: allow(r3-unchecked-cast) -- base + end <= total, checked against u32 above
             offsets.extend(row_ends.iter().map(|&end| (base + end) as u32));
         }
         CoverageCsr {
             sample_count: grid.sample_count(),
             offsets,
-            cells,
+            runs,
         }
     }
 
-    /// Bytes of table payload: offsets plus one `u32` per (node, cell)
-    /// pair. The scale bench reports this as part of the per-topology
-    /// memory budget.
+    /// Bytes of table payload: offsets plus one `(first cell, count)`
+    /// run per (node, covered lattice row) pair. The scale bench reports
+    /// this as part of the per-topology memory budget.
     pub fn memory_bytes(&self) -> usize {
-        (self.offsets.len() + self.cells.len()) * std::mem::size_of::<u32>()
+        self.offsets.len() * std::mem::size_of::<u32>()
+            + self.runs.len() * std::mem::size_of::<(u32, u32)>()
     }
 
     /// Number of nodes the table was built over.
@@ -389,20 +408,13 @@ impl CoverageCsr {
         self.offsets.len() - 1
     }
 
-    /// Total stored (node, cell) pairs — the O(Σ degree) memory footprint.
-    pub fn cell_entry_count(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// The cell indices `node`'s sensing disc covers, in row-major order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn cells_covered_by(&self, node: usize) -> &[u32] {
+    /// The cell ranges `node`'s sensing disc covers, in row-major order.
+    fn cells_covered_by(&self, node: usize) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
         let lo = self.offsets[node] as usize;
         let hi = self.offsets[node + 1] as usize;
-        &self.cells[lo..hi]
+        self.runs[lo..hi]
+            .iter()
+            .map(|&(first, count)| first as usize..first as usize + count as usize)
     }
 
     /// Increments the count of every cell `node` covers: the counter-walk
@@ -419,8 +431,10 @@ impl CoverageCsr {
             counts.len(),
             "counts buffer size mismatch"
         );
-        for &c in self.cells_covered_by(node) {
-            counts[c as usize] += 1;
+        for cells in self.cells_covered_by(node) {
+            for c in &mut counts[cells] {
+                *c += 1;
+            }
         }
     }
 
@@ -437,8 +451,10 @@ impl CoverageCsr {
             counts.len(),
             "counts buffer size mismatch"
         );
-        for &c in self.cells_covered_by(node) {
-            counts[c as usize] -= 1;
+        for cells in self.cells_covered_by(node) {
+            for c in &mut counts[cells] {
+                *c -= 1;
+            }
         }
     }
 }

@@ -6,11 +6,19 @@
 //! simulated second. A uniform bucket grid with cell size equal to the query
 //! radius answers each such query by scanning at most 9 cells.
 
+use std::sync::OnceLock;
+
 use crate::field::Field;
 use crate::point::Point;
 
 /// Uniform bucket grid over a [`Field`], mapping points to the ids stored
 /// near them.
+///
+/// Entries are kept in one vector in insertion order; queries read a
+/// bucket-sorted copy that the first query after a change builds with one
+/// stable counting sort. A grid over a million nodes is therefore a few
+/// allocations rather than one per occupied bucket, which matters most
+/// when it is dropped.
 ///
 /// # Examples
 ///
@@ -29,7 +37,19 @@ pub struct SpatialGrid {
     cell: f64,
     cols: usize,
     rows: usize,
-    buckets: Vec<Vec<(usize, Point)>>,
+    /// `(bucket, id, position)` in insertion order.
+    entries: Vec<(usize, usize, Point)>,
+    /// The entries grouped by bucket, built on the first query after a
+    /// change.
+    index: OnceLock<BucketIndex>,
+}
+
+/// [`SpatialGrid`]'s entries sorted by bucket, insertion order within a
+/// bucket: `starts[b]..starts[b + 1]` indexes bucket `b` in `sorted`.
+#[derive(Clone, Debug)]
+struct BucketIndex {
+    starts: Vec<usize>,
+    sorted: Vec<(usize, Point)>,
 }
 
 impl SpatialGrid {
@@ -51,7 +71,8 @@ impl SpatialGrid {
             cell,
             cols,
             rows,
-            buckets: vec![Vec::new(); cols * rows],
+            entries: Vec::new(),
+            index: OnceLock::new(),
         }
     }
 
@@ -72,29 +93,55 @@ impl SpatialGrid {
             "bad position {p:?}"
         );
         let b = self.bucket_index(p);
-        self.buckets[b].push((id, p));
+        self.entries.push((b, id, p));
+        self.index = OnceLock::new();
     }
 
     /// Removes `id` at position `p`; returns `true` if it was present.
     pub fn remove(&mut self, id: usize, p: Point) -> bool {
         let b = self.bucket_index(p);
-        let bucket = &mut self.buckets[b];
-        if let Some(pos) = bucket.iter().position(|&(i, _)| i == id) {
-            bucket.swap_remove(pos);
-            true
-        } else {
-            false
+        match self
+            .entries
+            .iter()
+            .position(|&(eb, i, _)| eb == b && i == id)
+        {
+            Some(pos) => {
+                self.entries.remove(pos);
+                self.index = OnceLock::new();
+                true
+            }
+            None => false,
         }
     }
 
     /// Total number of stored entries.
     pub fn len(&self) -> usize {
-        self.buckets.iter().map(Vec::len).sum()
+        self.entries.len()
     }
 
     /// Whether the grid holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.buckets.iter().all(Vec::is_empty)
+        self.entries.is_empty()
+    }
+
+    /// The bucket-sorted entries, sorted now if a change made them stale.
+    fn index(&self) -> &BucketIndex {
+        self.index.get_or_init(|| {
+            let mut starts = vec![0usize; self.cols * self.rows + 1];
+            for &(b, _, _) in &self.entries {
+                starts[b + 1] += 1;
+            }
+            for b in 1..starts.len() {
+                starts[b] += starts[b - 1];
+            }
+            let mut next = starts.clone();
+            let mut sorted = vec![(0, Point::ORIGIN); self.entries.len()];
+            for &(b, id, p) in &self.entries {
+                sorted[next[b]] = (id, p);
+                next[b] += 1;
+            }
+            BucketIndex { starts, sorted }
+        })
     }
 
     /// Iterates over ids whose positions lie within `radius` of `center`
@@ -110,8 +157,13 @@ impl SpatialGrid {
         radius: f64,
     ) -> impl Iterator<Item = (usize, Point)> + '_ {
         let r2 = radius * radius;
+        let index = self.index();
         self.candidate_buckets(center, radius)
-            .flat_map(move |b| self.buckets[b].iter().copied())
+            .flat_map(move |b| {
+                index.sorted[index.starts[b]..index.starts[b + 1]]
+                    .iter()
+                    .copied()
+            })
             .filter(move |&(_, p)| p.distance_squared(center) <= r2)
     }
 

@@ -72,9 +72,9 @@ pub fn canon_key(world: &ModelWorld) -> Vec<i64> {
         key.push(i64::from(timers.reply_backoff));
         key.push(i64::from(node.reply_pending()));
         key.push(rate_bucket(node.rate(), lambda_d));
-        // The probing window: zero vs non-zero replies is the only
+        // The probing window: whether a REPLY was heard is the only
         // branch the window close takes (Working vs rate-update+sleep).
-        key.push(i64::from(!node.window_replies().is_empty()));
+        key.push(i64::from(node.heard_window_reply()));
     }
     // Pairwise working-time difference classes.
     for a in 0..n {

@@ -17,7 +17,9 @@
 //! in-flight population and keeps the state space finite; delivery to a
 //! node that slept or died in the meantime decodes to nothing.
 
-use peas::{Action, Input, Message, Mode, PeasConfig, PeasNode, Reply, Timer};
+use std::sync::Arc;
+
+use peas::{Action, Input, Message, Mode, PeasNode, Reply, Timer};
 use peas_des::rng::SimRng;
 use peas_des::time::{SimDuration, SimTime};
 use peas_radio::{NodeId, RxInfo};
@@ -83,7 +85,7 @@ impl ModelWorld {
             panic!("invalid model configuration: {e}");
         }
         let n = cfg.nodes as usize;
-        let peas: PeasConfig = cfg.peas.clone();
+        let peas = Arc::new(cfg.peas.clone());
         let mut world = ModelWorld {
             cfg,
             step: 0,
@@ -94,7 +96,7 @@ impl ModelWorld {
         };
         world.deaths_left = world.cfg.deaths;
         for i in 0..world.cfg.nodes {
-            let mut node = PeasNode::new(NodeId(i), peas.clone());
+            let mut node = PeasNode::with_shared_config(NodeId(i), Arc::clone(&peas));
             let mut rng = SimRng::new(MODEL_RNG_SEED ^ u64::from(i));
             let actions = node.start(&mut rng);
             world.nodes.push(node);

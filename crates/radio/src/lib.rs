@@ -41,6 +41,7 @@
 #![warn(missing_docs)]
 
 pub mod energy;
+mod lists;
 pub mod medium;
 pub mod packet;
 pub mod power;

@@ -42,6 +42,7 @@ use peas_des::rng::SimRng;
 use peas_des::time::{SimDuration, SimTime};
 use peas_geom::{Field, NeighborTables, Point, SpatialGrid};
 
+use crate::lists::BucketLists;
 use crate::packet::{airtime, NodeId, RxInfo};
 use crate::propagation::{Link, PropagationModel};
 
@@ -189,6 +190,16 @@ pub(crate) fn derived_grid_cell(model: &dyn PropagationModel, classes: &[f64]) -
     }
 }
 
+/// The bucket grid over `positions`, node `i` inserted in index order: that
+/// order fixes the candidate order that loss draws follow.
+pub(crate) fn bucket_grid(field: Field, cell: f64, positions: &[Point]) -> SpatialGrid {
+    let mut grid = SpatialGrid::new(field, cell);
+    for (i, &p) in positions.iter().enumerate() {
+        grid.insert(i, p);
+    }
+    grid
+}
+
 /// One precomputed decodable receiver of a fast-path broadcast.
 #[derive(Clone, Copy, Debug)]
 struct DecodeRow {
@@ -197,6 +208,14 @@ struct DecodeRow {
     dist: f64,
     /// Effective (shadowed) distance; `<= range` by construction.
     eff: f64,
+}
+
+/// One transmission registered in one [`CarrierGrid`] cell.
+#[derive(Clone, Copy, Debug)]
+struct OnAir {
+    sender_pos: Point,
+    reach: f64,
+    end: SimTime,
 }
 
 /// Spatially bucketed carrier-sense index over in-flight transmissions.
@@ -214,8 +233,7 @@ struct CarrierGrid {
     cell: f64,
     cols: usize,
     rows: usize,
-    /// Per cell: (sender position, reach, transmission end).
-    cells: Vec<Vec<(Point, f64, SimTime)>>,
+    cells: BucketLists<OnAir>,
 }
 
 impl CarrierGrid {
@@ -237,7 +255,7 @@ impl CarrierGrid {
             cell,
             cols,
             rows,
-            cells: vec![Vec::new(); cols * rows],
+            cells: BucketLists::new(cols * rows),
         }
     }
 
@@ -256,40 +274,31 @@ impl CarrierGrid {
         let y1 = (((sender_pos.y + reach) / self.cell) as usize).min(self.rows - 1);
         for cy in y0..=y1 {
             for cx in x0..=x1 {
-                let bucket = &mut self.cells[cy * self.cols + cx];
-                let mut i = 0;
-                while i < bucket.len() {
-                    if bucket[i].2 <= now {
-                        bucket.swap_remove(i);
-                    } else {
-                        i += 1;
-                    }
-                }
-                bucket.push((sender_pos, reach, end));
+                let cell = cy * self.cols + cx;
+                self.cells.retain(cell, |e| e.end > now);
+                self.cells.push(
+                    cell,
+                    OnAir {
+                        sender_pos,
+                        reach,
+                        end,
+                    },
+                );
             }
         }
     }
 
     /// Whether any live transmission reaches `pos` at time `now`.
     ///
-    /// Expired entries encountered along the way are dropped.
+    /// The queried cell's expired entries are purged first.
     fn busy_at(&mut self, pos: Point, now: SimTime) -> bool {
         let cx = ((pos.x / self.cell) as usize).min(self.cols - 1);
         let cy = ((pos.y / self.cell) as usize).min(self.rows - 1);
-        let bucket = &mut self.cells[cy * self.cols + cx];
-        let mut i = 0;
-        while i < bucket.len() {
-            let (sender_pos, range, end) = bucket[i];
-            if end <= now {
-                bucket.swap_remove(i);
-                continue;
-            }
-            if sender_pos.within(pos, range) {
-                return true;
-            }
-            i += 1;
-        }
-        false
+        let cell = cy * self.cols + cx;
+        self.cells.retain(cell, |e| e.end > now);
+        self.cells
+            .iter(cell)
+            .any(|e| e.sender_pos.within(pos, e.reach))
     }
 }
 
@@ -325,8 +334,12 @@ struct DecodeTable {
 /// assert!(deliveries[0].is_ok());
 /// ```
 pub struct Medium {
+    field: Field,
     positions: Vec<Point>,
-    grid: SpatialGrid,
+    /// Bucket grid of the live query path. Declared range classes replay
+    /// decode rows instead, so the grid is built on the first broadcast
+    /// that needs it, and a run that only uses its classes never holds it.
+    grid: Option<SpatialGrid>,
     grid_cell: f64,
     model: Box<dyn PropagationModel>,
     bitrate_bps: u64,
@@ -342,13 +355,13 @@ pub struct Medium {
     free: Vec<u32>,
     /// Per node: the first (usually only) transmission currently arriving
     /// there (plus its own), inline so the common zero/one-arrival case is
-    /// a single flat-array access instead of a per-node heap Vec;
-    /// `slot == NO_ARRIVAL` means none. The list's internal order is
-    /// unobservable — corruption marks every entry and removal is by
-    /// membership — so the first/overflow split changes nothing.
+    /// a single flat-array access; `slot == NO_ARRIVAL` means none. The
+    /// list's internal order is unobservable — corruption marks every
+    /// entry and removal is by membership — so the first/overflow split
+    /// changes nothing.
     arrivals_first: Vec<Arrival>,
     /// Rare overflow: second and later concurrent arrivals per node.
-    arrivals_more: Vec<Vec<Arrival>>,
+    arrivals_more: BucketLists<Arrival>,
     /// Ongoing transmissions for carrier sensing, bucketed by cell.
     on_air: CarrierGrid,
     /// Reused buffer for the in-reach candidates of one broadcast.
@@ -413,18 +426,19 @@ impl Medium {
         );
         assert!(bitrate_bps > 0, "bitrate must be positive");
         let grid_cell = derived_grid_cell(&model, classes);
-        let mut grid = SpatialGrid::new(field, grid_cell);
         for (i, &p) in positions.iter().enumerate() {
             assert!(field.contains(p), "node {i} at {p:?} outside the field");
-            grid.insert(i, p);
         }
 
         // Physical adjacency at each class's maximum reach, rows in grid
-        // candidate order; then narrow each edge once through the
-        // propagation model to the decodable set, exactly as the query path
-        // would per broadcast.
+        // candidate order. The bucket grid is dropped once the adjacency
+        // exists.
         let reaches: Vec<f64> = classes.iter().map(|&r| model.max_reach(r)).collect();
-        let adjacency = NeighborTables::build(&grid, positions, &reaches);
+        let adjacency = NeighborTables::build(
+            &bucket_grid(field, grid_cell, positions),
+            positions,
+            &reaches,
+        );
         // Narrow each physical edge through the propagation model to the
         // decodable set, exactly as the query path would per broadcast.
         // Large topologies narrow on the same bounded chunk pool the
@@ -482,8 +496,9 @@ impl Medium {
             .collect();
 
         Medium {
+            field,
             positions: positions.to_vec(),
-            grid,
+            grid: None,
             grid_cell,
             model: Box::new(model),
             bitrate_bps,
@@ -499,7 +514,7 @@ impl Medium {
                 };
                 positions.len()
             ],
-            arrivals_more: vec![Vec::new(); positions.len()],
+            arrivals_more: BucketLists::new(positions.len()),
             on_air: CarrierGrid::new(field, grid_cell, positions.len()),
             scratch: Vec::new(),
             stats: MediumStats::default(),
@@ -545,13 +560,9 @@ impl Medium {
         self.positions.len()
     }
 
-    /// Position of a node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn position(&self, node: NodeId) -> Point {
-        self.positions[node.index()]
+    /// Every node's position, indexed by node.
+    pub fn positions(&self) -> &[Point] {
+        &self.positions
     }
 
     /// The propagation model in use.
@@ -647,7 +658,10 @@ impl Medium {
         } else {
             let mut in_reach = std::mem::take(&mut self.scratch);
             in_reach.clear();
-            in_reach.extend(self.grid.within_entries(sender_pos, reach));
+            let grid = self
+                .grid
+                .get_or_insert_with(|| bucket_grid(self.field, self.grid_cell, &self.positions));
+            in_reach.extend(grid.within_entries(sender_pos, reach));
             for &(idx, pos) in &in_reach {
                 if idx == sender.index() {
                     continue;
@@ -742,8 +756,7 @@ impl Medium {
         if first.entry != SENDER_ENTRY {
             self.slots[first.slot as usize].receivers[first.entry as usize].corrupted = true;
         }
-        for k in 0..self.arrivals_more[n].len() {
-            let a = self.arrivals_more[n][k];
+        for a in self.arrivals_more.iter(n) {
             if a.entry != SENDER_ENTRY {
                 self.slots[a.slot as usize].receivers[a.entry as usize].corrupted = true;
             }
@@ -756,7 +769,7 @@ impl Medium {
         if self.arrivals_first[n].slot == NO_ARRIVAL {
             self.arrivals_first[n] = a;
         } else {
-            self.arrivals_more[n].push(a);
+            self.arrivals_more.push(n, a);
         }
     }
 
@@ -766,19 +779,14 @@ impl Medium {
         if self.arrivals_first[n].slot == slot {
             // Promote any overflow entry into the inline slot; which one is
             // immaterial (the list is a set).
-            self.arrivals_first[n] = self.arrivals_more[n].pop().unwrap_or(Arrival {
+            self.arrivals_first[n] = self.arrivals_more.pop(n).unwrap_or(Arrival {
                 slot: NO_ARRIVAL,
                 entry: 0,
             });
             return;
         }
-        let list = &mut self.arrivals_more[n];
-        let pos = list
-            .iter()
-            .position(|a| a.slot == slot)
-            // peas-lint: allow(r1-unchecked-panic) -- markers are added on start_broadcast and removed exactly once on complete/abort
-            .expect("arrival bookkeeping out of sync");
-        list.swap_remove(pos);
+        let removed = self.arrivals_more.retain(n, |a| a.slot != slot);
+        assert_eq!(removed, 1, "arrival bookkeeping out of sync");
     }
 
     /// Completes a transmission, reporting every physical receiver's

@@ -27,7 +27,7 @@ use peas_des::rng::SimRng;
 use peas_des::time::SimTime;
 use peas_geom::{Field, Point, SpatialGrid};
 
-use crate::medium::{derived_grid_cell, Delivery, RxOutcome};
+use crate::medium::{bucket_grid, derived_grid_cell, Delivery, RxOutcome};
 use crate::packet::{airtime, NodeId, RxInfo};
 use crate::propagation::{Link, PropagationModel};
 
@@ -37,6 +37,8 @@ pub struct RefTxId(usize);
 
 struct RefTx {
     sender: NodeId,
+    /// The model's physical reach at the transmission's intended range.
+    reach: f64,
     start: SimTime,
     end: SimTime,
     completed: bool,
@@ -97,14 +99,12 @@ impl ReferenceMedium {
             "loss rate {loss_rate} not in [0,1]"
         );
         assert!(bitrate_bps > 0, "bitrate must be positive");
-        let mut grid = SpatialGrid::new(field, derived_grid_cell(&model, classes));
         for (i, &p) in positions.iter().enumerate() {
             assert!(field.contains(p), "node {i} at {p:?} outside the field");
-            grid.insert(i, p);
         }
         ReferenceMedium {
             positions: positions.to_vec(),
-            grid,
+            grid: bucket_grid(field, derived_grid_cell(&model, classes), positions),
             model: Box::new(model),
             bitrate_bps,
             loss_rate,
@@ -183,12 +183,23 @@ impl ReferenceMedium {
 
         self.txs.push(RefTx {
             sender,
+            reach,
             start: now,
             end,
             completed: false,
             receivers,
         });
         (RefTxId(self.txs.len() - 1), end)
+    }
+
+    /// Mirrors [`Medium::carrier_busy`](crate::Medium::carrier_busy) by
+    /// brute force: whether any transmission still on the air at `now`
+    /// (`end > now`) reaches `node`'s position within its reach.
+    pub fn carrier_busy(&self, node: NodeId, now: SimTime) -> bool {
+        let pos = self.positions[node.index()];
+        self.txs
+            .iter()
+            .any(|t| t.end > now && self.positions[t.sender.index()].within(pos, t.reach))
     }
 
     /// Mirrors [`Medium::complete`](crate::Medium::complete): reports every

@@ -177,7 +177,8 @@ proptest! {
     /// random topologies, loss rates and all three propagation models. Each
     /// schedule entry either hits one of the two declared range classes
     /// (exercising the fast path) or an arbitrary range (exercising the
-    /// grid fallback).
+    /// grid fallback). Before each broadcast, every node's carrier sense
+    /// must agree with the reference's brute-force scan.
     #[test]
     fn dense_medium_matches_brute_force_reference(
         positions in arb_positions(25),
@@ -262,6 +263,16 @@ proptest! {
             } else {
                 let (t, sender, range, size) = starts[next];
                 next += 1;
+                // Carrier sense as every node would see it before this
+                // broadcast starts.
+                for node in 0..positions.len() {
+                    let node = NodeId(node as u32);
+                    prop_assert_eq!(
+                        medium.carrier_busy(node, t),
+                        reference.carrier_busy(node, t),
+                        "carrier sense at node {:?}, t {:?}", node, t
+                    );
+                }
                 let tx = medium.start_broadcast(
                     t,
                     NodeId(sender as u32),

@@ -20,6 +20,8 @@
 //!   `ProtocolRx`/`AppRx` (reception draw equals idle draw on Motes, so the
 //!   total is unchanged — only the attribution moves).
 
+use std::sync::Arc;
+
 use peas::{
     Action as PeasAction, Input as PeasInput, Message as PeasMessage, Mode, PeasNode,
     Timer as PeasTimer,
@@ -252,8 +254,8 @@ impl NodeStore {
 pub struct World {
     cfg: ScenarioConfig,
     sim: Simulator<Event>,
+    /// Also the one copy of every node's position.
     medium: Medium,
-    positions: Vec<Point>,
     nodes: NodeStore,
     /// Fat payloads of scheduled [`Event::SendAttempt`]s. Send attempts
     /// are never cancelled, so every `alloc` is paired with exactly one
@@ -379,10 +381,12 @@ impl World {
             tx_busy_until: vec![SimTime::ZERO; n],
             timers: TimerTable::new(n, config.peas.probe_count as usize),
         };
+        let peas_config = Arc::new(config.peas.clone());
         for i in 0..n {
             // Same per-node order as ever: battery draw, then the node's
             // own stream — RNG consumption is part of the golden contract.
-            let mut peas = PeasNode::new(NodeId(node_u32(i)), config.peas.clone());
+            let mut peas =
+                PeasNode::with_shared_config(NodeId(node_u32(i)), Arc::clone(&peas_config));
             if let Some(g) = &config.grab {
                 nodes.grab.push(GrabRelay::new(g.clone()));
             }
@@ -462,7 +466,6 @@ impl World {
             alive_sensors: config.node_count,
             sim,
             medium,
-            positions,
             nodes,
             send_jobs: Arena::new(),
             working_nodes,
@@ -545,12 +548,13 @@ impl World {
 
     /// Positions of currently working sensors (for connectivity analysis).
     pub fn working_positions(&self) -> Vec<Point> {
+        let positions = self.medium.positions();
         self.nodes
             .peas
             .iter()
             .enumerate()
             .filter(|(i, p)| self.nodes.alive[*i] && p.mode() == Mode::Working)
-            .map(|(i, _)| self.positions[i])
+            .map(|(i, _)| positions[i])
             .collect()
     }
 
@@ -596,8 +600,9 @@ impl World {
                 canvas[cy][cx] = ch;
             }
         };
+        let positions = self.medium.positions();
         for (i, peas) in self.nodes.peas.iter().enumerate() {
-            let p = self.positions[i];
+            let p = positions[i];
             let (ch, rank) = match (self.nodes.alive[i], peas.mode()) {
                 (true, Mode::Working) => ('#', 3),
                 (true, _) => ('.', 2),
@@ -606,8 +611,8 @@ impl World {
             put(&mut canvas, p, ch, rank);
         }
         if self.source_idx != usize::MAX {
-            put(&mut canvas, self.positions[self.source_idx], 'S', 4);
-            put(&mut canvas, self.positions[self.sink_idx], 'K', 4);
+            put(&mut canvas, positions[self.source_idx], 'S', 4);
+            put(&mut canvas, positions[self.sink_idx], 'K', 4);
         }
         let mut out = String::with_capacity((cols + 3) * (rows + 2));
         out.push('+');
@@ -1147,10 +1152,11 @@ impl World {
         let event_id = self.event_stats.2;
         self.event_stats.2 += 1;
 
+        let positions = self.medium.positions();
         let detector = self
             .working_nodes
             .iter()
-            .map(|&i| (i as usize, self.positions[i as usize].distance_squared(pos)))
+            .map(|&i| (i as usize, positions[i as usize].distance_squared(pos)))
             .filter(|&(_, d2)| d2 <= self.cfg.sensing_range * self.cfg.sensing_range)
             .min_by(|a, b| a.1.total_cmp(&b.1))
             .map(|(i, _)| i);
@@ -1312,7 +1318,7 @@ impl World {
         if to == Mode::Working {
             self.working_slot[idx] = node_u32(self.working_nodes.len());
             self.working_nodes.push(node_u32(idx));
-            self.working_pos.push(self.positions[idx]);
+            self.working_pos.push(self.medium.positions()[idx]);
             self.coverage_csr.add_into(idx, &mut self.cov_counts);
         }
     }
