@@ -359,7 +359,9 @@ impl CoverageCsr {
     /// Large topologies (≥ [`crate::par::PARALLEL_BUILD_THRESHOLD`] nodes)
     /// rasterize their rows on a bounded worker pool, in node-index chunks
     /// spliced back in chunk order — byte-identical to a serial build (see
-    /// [`crate::par`] for the memory budget).
+    /// [`crate::par`] for the memory budget). A topology of at most
+    /// [`crate::par::BUILD_CHUNK_NODES`] nodes is one chunk, whose buffer
+    /// becomes the table without a copy.
     pub fn build(grid: &CoverageGrid, positions: &[Point], sensing_range: f64) -> CoverageCsr {
         assert!(
             sensing_range.is_finite() && sensing_range > 0.0,
@@ -375,19 +377,7 @@ impl CoverageCsr {
             }
             (runs, row_ends)
         });
-        let total: usize = chunks.iter().map(|(r, _)| r.len()).sum();
-        let _cap = u32::try_from(total)
-            // peas-lint: allow(r1-unchecked-panic) -- u32 offsets are a deliberate CSR size cap; >4G runs means a misconfigured field
-            .expect("more than u32::MAX coverage runs");
-        let mut offsets = Vec::with_capacity(positions.len() + 1);
-        let mut runs = Vec::with_capacity(total);
-        offsets.push(0);
-        for (chunk_runs, row_ends) in chunks {
-            let base = runs.len();
-            runs.extend_from_slice(&chunk_runs);
-            // peas-lint: allow(r3-unchecked-cast) -- base + end <= total, checked against u32 above
-            offsets.extend(row_ends.iter().map(|&end| (base + end) as u32));
-        }
+        let (offsets, runs) = crate::par::join_chunks(chunks, "coverage runs");
         CoverageCsr {
             sample_count: grid.sample_count(),
             offsets,
@@ -575,6 +565,29 @@ mod tests {
             g.k_coverages_from_counts(&counts, 3),
             g.k_coverages(&kept, 6.0, 3)
         );
+    }
+
+    #[test]
+    fn csr_rows_match_discs_across_chunks() {
+        use peas_des::rng::SimRng;
+        // Two chunks: the splice path, not the adopted single chunk.
+        let n = crate::par::BUILD_CHUNK_NODES + 300;
+        let g = CoverageGrid::new(Field::new(100.0, 100.0), 2.0);
+        let mut rng = SimRng::new(9);
+        let pts: Vec<Point> = (0..n)
+            .map(|_| Point::new(rng.range_f64(0.0, 100.0), rng.range_f64(0.0, 100.0)))
+            .collect();
+        let csr = CoverageCsr::build(&g, &pts, 5.0);
+        assert_eq!(csr.node_count(), n);
+        let (mut walked, mut drawn) = (vec![0u32; g.sample_count()], vec![0u32; g.sample_count()]);
+        for i in (0..n)
+            .step_by(97)
+            .chain([crate::par::BUILD_CHUNK_NODES, n - 1])
+        {
+            csr.add_into(i, &mut walked);
+            g.add_disc(pts[i], 5.0, &mut drawn);
+            assert_eq!(walked, drawn, "node {i}");
+        }
     }
 
     #[test]

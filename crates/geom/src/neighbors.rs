@@ -85,7 +85,9 @@ impl NeighborTables {
     /// Large topologies (≥ [`par::PARALLEL_BUILD_THRESHOLD`] nodes) build
     /// their rows on a bounded worker pool, in node-index chunks spliced
     /// back in chunk order — the resulting tables are byte-identical to a
-    /// serial build (see [`par`] for the memory budget).
+    /// serial build (see [`par`] for the memory budget). A topology of at
+    /// most [`par::BUILD_CHUNK_NODES`] nodes is one chunk, whose buffers
+    /// become the tables without a copy.
     pub fn build(grid: &SpatialGrid, positions: &[Point], radii: &[f64]) -> NeighborTables {
         assert_eq!(
             grid.len(),
@@ -117,29 +119,15 @@ impl NeighborTables {
                         }
                         row_ends.push(neighbors.len());
                     }
-                    (neighbors, distances, row_ends)
+                    ((neighbors, distances), row_ends)
                 });
-                let total: usize = chunks.iter().map(|(n, _, _)| n.len()).sum();
-                let _cap = u32::try_from(total)
-                    // peas-lint: allow(r1-unchecked-panic) -- u32 offsets are a deliberate CSR size cap; >4G edges means a misconfigured scenario
-                    .expect("more than u32::MAX edges in one class");
-                let mut csr = Csr {
-                    offsets: Vec::with_capacity(positions.len() + 1),
-                    neighbors: Vec::with_capacity(total),
-                    distances: Vec::with_capacity(total),
-                };
-                csr.offsets.push(0);
-                // Splice in chunk order; each chunk buffer is freed as it is
-                // consumed, so transient memory stays bounded.
-                for (neighbors, distances, row_ends) in chunks {
-                    let base = csr.neighbors.len();
-                    csr.neighbors.extend_from_slice(&neighbors);
-                    csr.distances.extend_from_slice(&distances);
-                    csr.offsets
-                        // peas-lint: allow(r3-unchecked-cast) -- base + end <= total, checked against u32 above
-                        .extend(row_ends.iter().map(|&end| (base + end) as u32));
+                let (offsets, (neighbors, distances)) =
+                    par::join_chunks(chunks, "edges in one class");
+                Csr {
+                    offsets,
+                    neighbors,
+                    distances,
                 }
-                csr
             })
             .collect();
         NeighborTables {
@@ -252,6 +240,32 @@ mod tests {
                 brute.sort_unstable();
                 assert_eq!(fast, brute, "class {class} node {i}");
             }
+        }
+    }
+
+    #[test]
+    fn spliced_chunks_match_per_node_queries() {
+        use peas_des::rng::SimRng;
+        // Two chunks: the splice path, not the adopted single chunk.
+        let n = par::BUILD_CHUNK_NODES + 300;
+        let field = Field::new(150.0, 150.0);
+        let mut rng = SimRng::new(3);
+        let positions: Vec<Point> = (0..n)
+            .map(|_| Point::new(rng.range_f64(0.0, 150.0), rng.range_f64(0.0, 150.0)))
+            .collect();
+        let mut grid = SpatialGrid::new(field, 4.0);
+        for (i, &p) in positions.iter().enumerate() {
+            grid.insert(i, p);
+        }
+        let t = NeighborTables::build(&grid, &positions, &[4.0]);
+        for (i, &p) in positions.iter().enumerate() {
+            let (ids, dists): (Vec<u32>, Vec<f64>) = grid
+                .within_entries(p, 4.0)
+                .filter(|&(j, _)| j != i)
+                .map(|(j, q)| (j as u32, p.distance(q)))
+                .unzip();
+            assert_eq!(t.neighbors(0, i), ids.as_slice(), "node {i}");
+            assert_eq!(t.distances(0, i), dists.as_slice(), "node {i}");
         }
     }
 

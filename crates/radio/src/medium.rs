@@ -473,25 +473,14 @@ impl Medium {
                     }
                     (rows, row_ends)
                 });
-                let total: usize = chunks.iter().map(|(r, _)| r.len()).sum();
-                let _cap = u32::try_from(total)
-                    // peas-lint: allow(r1-unchecked-panic) -- u32 offsets are a deliberate CSR size cap; >4G edges means a misconfigured scenario
-                    .expect("more than u32::MAX decode rows in one class");
-                let mut t = DecodeTable {
+                let (offsets, rows) =
+                    peas_geom::par::join_chunks(chunks, "decode rows in one class");
+                DecodeTable {
                     range,
                     reach: model.max_reach(range),
-                    offsets: Vec::with_capacity(positions.len() + 1),
-                    rows: Vec::with_capacity(total),
-                };
-                t.offsets.push(0);
-                for (chunk_rows, row_ends) in chunks {
-                    let base = t.rows.len();
-                    t.rows.extend_from_slice(&chunk_rows);
-                    t.offsets
-                        // peas-lint: allow(r3-unchecked-cast) -- base + end <= total, checked against u32 above
-                        .extend(row_ends.iter().map(|&end| (base + end) as u32));
+                    offsets,
+                    rows,
                 }
-                t
             })
             .collect();
 

@@ -53,10 +53,11 @@ use peas_des::{DetMap, DetSet};
 
 use crate::config::ScenarioConfig;
 use crate::metrics::RunReport;
-use crate::report_json::{decode_report_value, encode_report, json_escape, parse_json, Json};
+use crate::report_json::{json_escape, parse_hex, parse_json, Json};
 use crate::runner::Runner;
 use crate::session::{
-    enumerate_shards, fnv1a, open_segment_for_append, SessionError, Shard, ShardKey,
+    decode_record, enumerate_shards, fnv1a, open_segment_for_append, push_record_body,
+    record_len_hint, SessionError, Shard, ShardKey,
 };
 
 /// The leading frame of every cache record: `{"check":"0x` + 16 hex
@@ -68,17 +69,18 @@ const CHECK_HEX_LEN: usize = 16;
 /// Renders one cache record (newline-terminated): the journal's schema-1
 /// body prefixed with a checksum over the body's exact bytes.
 pub fn encode_cache_line(key: ShardKey, label: &str, report: &RunReport) -> String {
-    let body = format!(
-        "\"fingerprint\":\"{:#018X}\",\"seed\":{},\"label\":\"{}\",\"report\":{}",
-        key.fingerprint,
-        key.seed,
-        json_escape(label),
-        encode_report(report)
-    );
-    format!(
-        "{{\"check\":\"{:#018X}\",{body}}}\n",
-        fnv1a(body.as_bytes())
-    )
+    let digits = CHECK_PREFIX.len()..CHECK_PREFIX.len() + CHECK_HEX_LEN;
+    let mut line = String::with_capacity(record_len_hint(label, report));
+    line.push_str(CHECK_PREFIX);
+    // Placeholder digits, overwritten once the body they cover is written.
+    line.extend(std::iter::repeat_n('0', CHECK_HEX_LEN));
+    line.push_str("\",");
+    let body_start = line.len();
+    push_record_body(&mut line, key, label, report);
+    let check = fnv1a(&line.as_bytes()[body_start..]);
+    line.replace_range(digits, &format!("{check:016X}"));
+    line.push_str("}\n");
+    line
 }
 
 /// The outcome of decoding one cache line.
@@ -119,7 +121,7 @@ pub fn decode_cache_line(line: &str) -> CacheRecord {
     else {
         return damaged("truncated checksum frame");
     };
-    let Ok(check) = u64::from_str_radix(hex, 16) else {
+    let Some(check) = parse_hex(hex) else {
         return damaged("malformed checksum hex");
     };
     let Some(with_brace) = after_hex.strip_prefix("\",") else {
@@ -135,37 +137,15 @@ pub fn decode_cache_line(line: &str) -> CacheRecord {
         ));
     }
     // The checksum matched, so the body is exactly what a writer
-    // flushed; parse it with the same rules as a journal line.
-    let Ok(value) = parse_json(&format!("{{{body}}}")) else {
-        return damaged("checksummed body fails to parse");
-    };
-    let fingerprint = match value.get("fingerprint") {
-        Some(Json::Str(hex)) => match hex.strip_prefix("0x").map(|h| u64::from_str_radix(h, 16)) {
-            Some(Ok(f)) => f,
-            _ => return damaged("malformed fingerprint"),
+    // flushed; read the whole line in place with the journal's rules (the
+    // `check` field is one more key the record reader skips).
+    match decode_record(line) {
+        Ok((key, label, report)) => CacheRecord::Entry {
+            key,
+            label,
+            report: Box::new(report),
         },
-        _ => return damaged("missing fingerprint"),
-    };
-    let seed = match value.get("seed") {
-        Some(Json::Num(raw)) => match raw.parse::<u64>() {
-            Ok(s) => s,
-            Err(_) => return damaged("malformed seed"),
-        },
-        _ => return damaged("missing seed"),
-    };
-    let label = match value.get("label") {
-        Some(Json::Str(label)) => label.clone(),
-        _ => return damaged("missing label"),
-    };
-    let report = match value.get("report").map(decode_report_value) {
-        Some(Ok(report)) => report,
-        Some(Err(e)) => return damaged(format!("report decode failed: {e}")),
-        None => return damaged("missing report"),
-    };
-    CacheRecord::Entry {
-        key: ShardKey { fingerprint, seed },
-        label,
-        report: Box::new(report),
+        Err(e) => damaged(format!("checksummed record fails to decode: {e}")),
     }
 }
 
@@ -365,8 +345,7 @@ impl ResultCache {
         for line in text.lines() {
             if let Ok(value) = parse_json(line) {
                 if let Some(Json::Str(hex)) = value.get("raw_hash") {
-                    if let Some(Ok(h)) = hex.strip_prefix("0x").map(|h| u64::from_str_radix(h, 16))
-                    {
+                    if let Some(h) = hex.strip_prefix("0x").and_then(parse_hex) {
                         hashes.insert(h);
                     }
                 }
@@ -553,6 +532,7 @@ impl SweepPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report_json::encode_report;
     use peas_des::time::SimTime;
 
     fn tiny(seed: u64) -> ScenarioConfig {
@@ -606,6 +586,24 @@ mod tests {
                 CacheRecord::Damaged { .. }
             ));
         }
+        // A `+` over a checksum's leading `0` leaves a value that a signed
+        // hex parse reads back unchanged: the frame must still reject it.
+        // Vary the label until the checksum has a leading zero digit.
+        let zero_led = (0..)
+            .map(|k| encode_cache_line(key, &format!("n=25 #{k}"), &report))
+            .find(|line| line[CHECK_PREFIX.len()..].starts_with('0'))
+            .expect("one checksum in sixteen starts with 0");
+        let mut forged = zero_led.trim_end().to_string();
+        assert!(matches!(
+            decode_cache_line(&forged),
+            CacheRecord::Entry { .. }
+        ));
+        forged.replace_range(CHECK_PREFIX.len()..=CHECK_PREFIX.len(), "+");
+        assert!(
+            matches!(decode_cache_line(&forged), CacheRecord::Damaged { .. }),
+            "a signed checksum must be rejected: {:.40}",
+            forged
+        );
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! concrete runs lives in `peas-scenario` (`compile_job`), and the
 //! scheduling in the `serve` binary.
 
-use crate::report_json::{json_escape, parse_json, Json};
+use crate::report_json::{json_escape, parse_hex, parse_json, Json};
 
 /// Version tag of the job/submission wire form. Bump on any change to
 /// field names or meaning; decoders reject mismatching versions.
@@ -193,7 +193,7 @@ pub fn decode_outcome(src: &str) -> Result<JobOutcome, String> {
     let result_fingerprint = match v.get("result_fingerprint") {
         Some(Json::Str(hex)) => hex
             .strip_prefix("0x")
-            .and_then(|h| u64::from_str_radix(h, 16).ok())
+            .and_then(parse_hex)
             .ok_or_else(|| format!("field `result_fingerprint`: bad hex `{hex}`"))?,
         _ => return Err("missing string field `result_fingerprint`".to_string()),
     };

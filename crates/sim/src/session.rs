@@ -30,6 +30,7 @@
 //! resumed sweep is therefore byte-identical to an uninterrupted run —
 //! pinned by `tests/sweep_resume.rs` and the `sweep-resume` CI job.
 
+use std::fmt::Write as _;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -38,7 +39,7 @@ use peas_des::DetMap;
 
 use crate::config::ScenarioConfig;
 use crate::metrics::RunReport;
-use crate::report_json::{decode_report_value, encode_report, json_escape, parse_json, Json};
+use crate::report_json::{encoded_len_hint, fill, push_escaped, push_report, required, Reader};
 use crate::runner::Runner;
 
 /// FNV-1a offset basis.
@@ -367,30 +368,62 @@ pub(crate) fn open_segment_for_append(path: &Path) -> io::Result<fs::File> {
     Ok(file)
 }
 
+/// A typical upper bound on the length of a record line.
+pub(crate) fn record_len_hint(label: &str, report: &RunReport) -> usize {
+    // Braces, keys, the `check` frame, a 0x-hex fingerprint and a seed.
+    128 + label.len() + encoded_len_hint(report)
+}
+
+/// Appends a record's fields without the braces —
+/// `"fingerprint":"0x…","seed":N,"label":"…","report":{…}` — to `out`:
+/// the body a journal line wraps in braces and a cache line checksums.
+pub(crate) fn push_record_body(out: &mut String, key: ShardKey, label: &str, report: &RunReport) {
+    // Writing to a `String` cannot fail.
+    let _ = write!(
+        out,
+        "\"fingerprint\":\"{:#018X}\",\"seed\":{},\"label\":\"",
+        key.fingerprint, key.seed
+    );
+    push_escaped(out, label);
+    out.push_str("\",\"report\":");
+    push_report(out, report);
+}
+
+/// Decodes one record line — a journal line, or a cache line whose
+/// checksum matched — in a single pass: the record object's `fingerprint`,
+/// `seed`, `label` and `report` fields, in any order, with any other key
+/// (the cache's `check`) syntax-checked and skipped.
+pub(crate) fn decode_record(line: &str) -> Result<(ShardKey, String, RunReport), String> {
+    let mut reader = Reader::new(line);
+    let (mut fingerprint, mut seed, mut label, mut report) = (None, None, None, None);
+    reader.object(|r, key| match key {
+        "fingerprint" => fill(&mut fingerprint, || r.hex(key)),
+        "seed" => fill(&mut seed, || r.u64(key)),
+        "label" => fill(&mut label, || r.string().map(String::from)),
+        "report" => fill(&mut report, || r.report()),
+        _ => Ok(false),
+    })?;
+    reader.end()?;
+    let key = ShardKey {
+        fingerprint: required(fingerprint, "fingerprint")?,
+        seed: required(seed, "seed")?,
+    };
+    Ok((key, required(label, "label")?, required(report, "report")?))
+}
+
 /// Renders one journal line (newline-terminated) for a completed shard.
 fn encode_journal_line(shard: &Shard, report: &RunReport) -> String {
-    format!(
-        "{{\"fingerprint\":\"{:#018X}\",\"seed\":{},\"label\":\"{}\",\"report\":{}}}\n",
-        shard.key.fingerprint,
-        shard.key.seed,
-        json_escape(&shard.label),
-        encode_report(report)
-    )
+    let mut line = String::with_capacity(record_len_hint(&shard.label, report));
+    line.push('{');
+    push_record_body(&mut line, shard.key, &shard.label, report);
+    line.push_str("}\n");
+    line
 }
 
 /// Parses one journal line; `None` for torn/malformed lines.
 fn decode_journal_line(line: &str) -> Option<(ShardKey, RunReport)> {
-    let value = parse_json(line).ok()?;
-    let fingerprint = match value.get("fingerprint")? {
-        Json::Str(hex) => u64::from_str_radix(hex.strip_prefix("0x")?, 16).ok()?,
-        _ => return None,
-    };
-    let seed = match value.get("seed")? {
-        Json::Num(raw) => raw.parse::<u64>().ok()?,
-        _ => return None,
-    };
-    let report = decode_report_value(value.get("report")?).ok()?;
-    Some((ShardKey { fingerprint, seed }, report))
+    let (key, _label, report) = decode_record(line).ok()?;
+    Some((key, report))
 }
 
 #[cfg(test)]

@@ -6,8 +6,14 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
+use peas::NodeStats;
 use peas_des::time::SimTime;
-use peas_sim::{encode_report, BatterySpec, FailureConfig, Runner, ScenarioConfig, SweepSession};
+use peas_radio::{EnergyCause, EnergyLedger, MediumStats};
+use peas_sim::report_json::parse_json;
+use peas_sim::{
+    decode_report, encode_report, BatterySpec, FailureConfig, RunReport, Runner, Sample,
+    ScenarioConfig, SweepSession,
+};
 
 fn arb_scenario() -> impl Strategy<Value = ScenarioConfig> {
     (
@@ -128,6 +134,146 @@ proptest! {
             .collect();
         prop_assert_eq!(&merged, &p.reference, "tear at byte {} of the final record", keep - p.tail_start);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The finite float nearest in bits to `bits`: NaN and infinity patterns
+/// (all-ones exponent) lose their lowest exponent bit.
+fn finite(bits: u64) -> f64 {
+    let v = f64::from_bits(bits);
+    if v.is_finite() {
+        v
+    } else {
+        f64::from_bits(bits ^ (1 << 52))
+    }
+}
+
+/// Float bit patterns: any at all, or short decimals like a real run's.
+fn arb_float_bits() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        any::<u64>(),
+        (0u64..100_000).prop_map(|k| (k as f64 / 64.0).to_bits()),
+    ]
+}
+
+/// Counters: any `u64`, or small like a real run's.
+fn arb_count() -> impl Strategy<Value = u64> {
+    prop_oneof![any::<u64>(), 0u64..1000]
+}
+
+fn arb_sample() -> impl Strategy<Value = Sample> {
+    (
+        arb_float_bits(),
+        prop::collection::vec(arb_float_bits(), 0..6),
+        (arb_count(), arb_count(), arb_count()),
+        prop::option::of(arb_float_bits()),
+        arb_count(),
+    )
+        .prop_map(
+            |(t, coverage, (working, sleeping, alive), ratio, total_wakeups)| Sample {
+                t_secs: finite(t),
+                coverage: coverage.into_iter().map(finite).collect(),
+                working: working as usize,
+                sleeping: sleeping as usize,
+                alive: alive as usize,
+                delivery_ratio: ratio.map(finite),
+                total_wakeups,
+            },
+        )
+}
+
+/// Reports from arbitrary finite floats and arbitrary counters. Ledger
+/// entries are magnitudes, the only values a ledger can hold.
+fn arb_report() -> impl Strategy<Value = RunReport> {
+    (
+        prop::collection::vec(arb_sample(), 0..5),
+        prop::collection::vec(arb_count(), 24..25),
+        prop::collection::vec(arb_float_bits(), 9..10),
+    )
+        .prop_map(|(samples, n, f)| {
+            let mut ledger = EnergyLedger::new();
+            for (&cause, &bits) in EnergyCause::ALL.iter().zip(&f) {
+                ledger.add(cause, finite(bits).abs());
+            }
+            RunReport {
+                node_count: n[0] as usize,
+                seed: n[1],
+                samples,
+                node_stats: NodeStats {
+                    wakeups: n[2],
+                    probes_sent: n[3],
+                    replies_sent: n[4],
+                    probes_heard: n[5],
+                    replies_heard: n[6],
+                    measurements: n[7],
+                    window_with_reply: n[8],
+                    window_silent: n[9],
+                    turnoffs: n[10],
+                    replies_overheard: n[11],
+                },
+                ledger,
+                consumed_j: finite(f[7]),
+                medium: MediumStats {
+                    frames_sent: n[12],
+                    deliveries_ok: n[13],
+                    collisions: n[14],
+                    random_losses: n[15],
+                },
+                failures_injected: n[16],
+                energy_deaths: n[17],
+                generated_reports: n[18],
+                delivered_reports: n[19],
+                events_total: n[20],
+                events_detected: n[21],
+                events_delivered: n[22],
+                end_secs: finite(f[8]),
+                events_processed: n[23],
+            }
+        })
+}
+
+/// Bytes a damaged report may gain besides random ones: JSON's structural
+/// bytes and the bytes numbers and keywords are made of.
+const JSON_BYTES: &[u8] = b"{}[]:,\"\\ 0123456789+-.eEnul";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Any report of finite floats and any counters survives the codec:
+    /// decoding its encoding and encoding again gives the same bytes.
+    #[test]
+    fn codec_round_trips_arbitrary_reports(report in arb_report()) {
+        let encoded = encode_report(&report);
+        let decoded = decode_report(&encoded)
+            .map_err(|e| TestCaseError::fail(format!("{e} for {encoded}")))?;
+        prop_assert_eq!(&encode_report(&decoded), &encoded);
+        prop_assert_eq!(decoded, report);
+    }
+
+    /// A truncated, flipped or shortened encoding never panics the reader,
+    /// and the reader accepts it only if the tree parser accepts it too.
+    /// What it accepts re-encodes (every float it returns is finite).
+    #[test]
+    fn codec_survives_damaged_text(
+        report in arb_report(),
+        damage in (0u8..4, any::<u64>(), any::<u8>()),
+    ) {
+        let (kind, at, byte) = damage;
+        let mut bytes = encode_report(&report).into_bytes();
+        let at = (at % bytes.len() as u64) as usize;
+        match kind {
+            0 => bytes.truncate(at),
+            1 => bytes[at] ^= byte.max(1),
+            2 => bytes[at] = JSON_BYTES[usize::from(byte) % JSON_BYTES.len()],
+            _ => {
+                bytes.remove(at);
+            }
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        if let Ok(decoded) = decode_report(&text) {
+            prop_assert!(parse_json(&text).is_ok(), "reader accepted what the parser rejects: {}", text);
+            let _ = encode_report(&decoded);
+        }
     }
 }
 

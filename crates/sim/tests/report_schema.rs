@@ -7,8 +7,12 @@
 //! fails, either revert the serializer change or bump
 //! [`peas_sim::REPORT_SCHEMA`] and teach the decoder both versions.
 
+use peas::NodeStats;
 use peas_des::time::SimTime;
-use peas_sim::{decode_report, encode_report, Runner, ScenarioConfig, REPORT_SCHEMA};
+use peas_radio::{EnergyCause, EnergyLedger, MediumStats};
+use peas_sim::{
+    decode_report, encode_report, fnv1a, RunReport, Runner, Sample, ScenarioConfig, REPORT_SCHEMA,
+};
 
 fn sample_report() -> peas_sim::RunReport {
     let mut config = ScenarioConfig::small();
@@ -154,4 +158,139 @@ fn unknown_schema_versions_are_rejected() {
         err.contains("unsupported report schema"),
         "unexpected error: {err}"
     );
+}
+
+/// FNV-1a of `sample_report()`'s encoding. The key-order test above
+/// cannot see a value rendered differently; this pin can.
+const SAMPLE_REPORT_FNV: u64 = 0x352541304041877B;
+
+#[test]
+fn sample_report_encoding_is_byte_pinned() {
+    let encoded = encode_report(&sample_report());
+    assert_eq!(
+        fnv1a(encoded.as_bytes()),
+        SAMPLE_REPORT_FNV,
+        "schema-1 bytes of the sample report drifted: {encoded:.200}"
+    );
+}
+
+/// A report whose floats are easy to render wrongly: negative zero, the
+/// smallest subnormal, values at the switch between plain and exponent
+/// notation, a sum with no short decimal form and the largest finite
+/// value; plus a `None` delivery ratio and an empty coverage list.
+fn awkward_report() -> RunReport {
+    let mut ledger = EnergyLedger::new();
+    ledger.add(EnergyCause::ProtocolTx, 5e-324);
+    ledger.add(EnergyCause::ProtocolRx, 0.1 + 0.2);
+    ledger.add(EnergyCause::AppTx, 1e15);
+    ledger.add(EnergyCause::Sleep, f64::MAX);
+    RunReport {
+        node_count: 3,
+        seed: u64::MAX,
+        samples: vec![
+            Sample {
+                t_secs: -0.0,
+                coverage: Vec::new(),
+                working: 0,
+                sleeping: 1,
+                alive: 2,
+                delivery_ratio: None,
+                total_wakeups: 0,
+            },
+            Sample {
+                t_secs: 1e16,
+                coverage: vec![1e-7, 0.1 + 0.2, 5e-324, -0.0],
+                working: 7,
+                sleeping: 8,
+                alive: 15,
+                delivery_ratio: Some(1e-7),
+                total_wakeups: u64::MAX,
+            },
+        ],
+        node_stats: NodeStats {
+            wakeups: 1,
+            probes_sent: 2,
+            replies_sent: 3,
+            probes_heard: 4,
+            replies_heard: 5,
+            measurements: 6,
+            window_with_reply: 7,
+            window_silent: 8,
+            turnoffs: 9,
+            replies_overheard: 10,
+        },
+        ledger,
+        consumed_j: 0.1 + 0.2,
+        medium: MediumStats {
+            frames_sent: 11,
+            deliveries_ok: 12,
+            collisions: 13,
+            random_losses: 14,
+        },
+        failures_injected: 15,
+        energy_deaths: 16,
+        generated_reports: 17,
+        delivered_reports: 18,
+        events_total: 19,
+        events_detected: 20,
+        events_delivered: 21,
+        end_secs: f64::MAX,
+        events_processed: 0,
+    }
+}
+
+#[test]
+fn awkward_floats_encode_to_pinned_text() {
+    let encoded = encode_report(&awkward_report());
+    let want = concat!(
+        r#"{"schema":1,"node_count":3,"seed":18446744073709551615,"samples":["#,
+        r#"{"t_secs":-0.0,"coverage":[],"working":0,"sleeping":1,"alive":2,"#,
+        r#""delivery_ratio":null,"total_wakeups":0},"#,
+        r#"{"t_secs":1e16,"coverage":[1e-7,0.30000000000000004,5e-324,-0.0],"#,
+        r#""working":7,"sleeping":8,"alive":15,"delivery_ratio":1e-7,"#,
+        r#""total_wakeups":18446744073709551615}],"#,
+        r#""node_stats":{"wakeups":1,"probes_sent":2,"replies_sent":3,"probes_heard":4,"#,
+        r#""replies_heard":5,"measurements":6,"window_with_reply":7,"window_silent":8,"#,
+        r#""turnoffs":9,"replies_overheard":10},"#,
+        r#""ledger_j":{"protocol_tx":5e-324,"protocol_rx":0.30000000000000004,"#,
+        r#""protocol_idle":0.0,"app_tx":1000000000000000.0,"app_rx":0.0,"working_idle":0.0,"#,
+        r#""sleep":1.7976931348623157e308},"consumed_j":0.30000000000000004,"#,
+        r#""medium":{"frames_sent":11,"deliveries_ok":12,"collisions":13,"random_losses":14},"#,
+        r#""failures_injected":15,"energy_deaths":16,"generated_reports":17,"#,
+        r#""delivered_reports":18,"events_total":19,"events_detected":20,"#,
+        r#""events_delivered":21,"end_secs":1.7976931348623157e308,"events_processed":0}"#,
+    );
+    assert_eq!(encoded, want);
+    let decoded = decode_report(&encoded).expect("pinned text decodes");
+    assert_eq!(encode_report(&decoded), want, "re-encoding drifted");
+    assert_eq!(
+        decoded.samples[0].t_secs.to_bits(),
+        (-0.0f64).to_bits(),
+        "negative zero keeps its sign"
+    );
+}
+
+#[test]
+fn reader_takes_any_key_order_first_occurrence_and_unknown_keys() {
+    let report = awkward_report();
+    let encoded = encode_report(&report);
+    // `schema` moved last, a repeated `seed` (the first one wins) and an
+    // unknown nested key, with whitespace between tokens.
+    let body = encoded
+        .strip_prefix("{\"schema\":1,")
+        .and_then(|rest| rest.strip_suffix('}'))
+        .expect("schema leads the encoding");
+    let reordered = format!(
+        "{{ {body} , \"seed\" : 5 ,\"extra\":{{\"a\":[1,-2.5e3,{{\"b\":null}},\"\\u0041\"]}},\"schema\":1}}\n"
+    );
+    assert_eq!(decode_report(&reordered), Ok(report));
+    // Unknown values are still syntax-checked, and nothing may follow.
+    let bad_unknown = reordered.replace("\"b\":null", "\"b\":nul");
+    assert!(decode_report(&bad_unknown).is_err());
+    assert!(decode_report(&format!("{encoded} x")).is_err());
+    assert!(decode_report(&format!("{encoded}}}")).is_err());
+    // A float the encoder could not write back is refused.
+    let overflow = encoded.replace("1.7976931348623157e308", "1.7976931348623157e309");
+    let err = decode_report(&overflow).expect_err("not finite");
+    assert!(err.contains("not a finite float"), "{err}");
 }
