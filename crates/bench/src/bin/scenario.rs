@@ -8,7 +8,7 @@
 //!   list                 list the corpus with run counts
 //!   run <name|all>       expand and run a scenario's full sweep, print a summary
 //!                        (`--json`: emit one schema-1 report line per run,
-//!                        the same serialized form the sweep journal uses)
+//!                        the same serialized form the result cache stores)
 //!   fingerprint <name|all>  run the golden config, print its snapshot
 //!   check [name|all]     compare fresh snapshots against scenarios/golden/ (exit 1 on drift)
 //!   bless [name|all]     rewrite scenarios/golden/ snapshots from fresh runs

@@ -46,35 +46,25 @@
 //! `active/` happens *before* any work, so a service SIGKILLed mid-sweep
 //! leaves the job there; the restarted service re-processes it, finds
 //! the already-executed shards in the cache, runs only the remainder,
-//! and produces response bytes identical to an uninterrupted run — the
-//! same resume-by-content story as `peas-bench sweep`, now shared
-//! between every client of the spool (pinned by
-//! `crates/bench/tests/serve_smoke.rs` and the `serve-smoke` CI job).
+//! and produces response bytes identical to an uninterrupted run. The
+//! plan loop is `peas_bench::run_plan`, the same one `sweep run` uses
+//! (pinned by `crates/bench/tests/serve_smoke.rs` and the
+//! `fault-injection` CI job).
 
 use std::env;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::process::{Command, ExitCode};
+use std::process::ExitCode;
 use std::time::Duration;
 
+use peas_bench::{run_plan, Args};
 use peas_scenario::compile_job;
 use peas_sim::job::{
     decode_job, decode_outcome, decode_progress, encode_outcome, encode_progress, JobOutcome,
     JobProgress, JobSpec,
 };
-use peas_sim::{encode_report, fnv1a, ResultCache, Shard, SweepPlan};
-
-/// Novel shards executed per scheduling chunk: small enough that
-/// progress files update while a sweep runs, large enough that the
-/// worker pool stays saturated between chunk boundaries.
-const CHUNK_PER_WORKER: usize = 2;
-
-/// Minimal flag parser: `--key value` pairs plus boolean flags.
-struct Args {
-    positional: Vec<String>,
-    flags: Vec<(String, Option<String>)>,
-}
+use peas_sim::{encode_report, fnv1a, ResultCache, SweepPlan};
 
 const VALUE_FLAGS: &[&str] = &[
     "--spool",
@@ -84,55 +74,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--poll-ms",
     "--kill-after",
 ];
-
-impl Args {
-    fn parse(raw: &[String]) -> Result<Args, String> {
-        let mut positional = Vec::new();
-        let mut flags = Vec::new();
-        let mut iter = raw.iter();
-        while let Some(arg) = iter.next() {
-            if let Some(flag) = arg.strip_prefix("--") {
-                if VALUE_FLAGS.contains(&arg.as_str()) {
-                    let value = iter
-                        .next()
-                        .ok_or_else(|| format!("--{flag} needs a value"))?;
-                    flags.push((flag.to_string(), Some(value.clone())));
-                } else {
-                    flags.push((flag.to_string(), None));
-                }
-            } else {
-                positional.push(arg.clone());
-            }
-        }
-        Ok(Args { positional, flags })
-    }
-
-    fn get(&self, flag: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .find(|(k, _)| k == flag)
-            .and_then(|(_, v)| v.as_deref())
-    }
-
-    fn has(&self, flag: &str) -> bool {
-        self.flags.iter().any(|(k, _)| k == flag)
-    }
-
-    fn get_parsed<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, String> {
-        match self.get(flag) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| format!("--{flag}: cannot parse `{raw}`")),
-        }
-    }
-
-    fn dir(&self, flag: &str) -> Result<PathBuf, String> {
-        self.get(flag)
-            .map(PathBuf::from)
-            .ok_or_else(|| format!("--{flag} DIR is required"))
-    }
-}
 
 /// The spool directory family. Every accessor creates on first use.
 struct Spool {
@@ -215,16 +156,6 @@ fn write_atomic(path: &Path, contents: &str) -> Result<(), String> {
     fs::rename(&tmp, path).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// SIGKILLs the current process — the `--kill-after` fault-injection
-/// path, same machinery as `sweep --kill-worker`. Falls back to `abort`
-/// if no `kill` binary exists.
-fn sigkill_self() -> ! {
-    let pid = std::process::id().to_string();
-    let _ = Command::new("kill").args(["-KILL", &pid]).status();
-    std::thread::sleep(Duration::from_secs(2));
-    std::process::abort();
-}
-
 /// Default scenario corpus: the workspace `scenarios/` directory.
 fn default_scenarios_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
@@ -252,27 +183,14 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let scenarios = args
         .get("scenarios")
         .map_or_else(default_scenarios_dir, PathBuf::from);
-    let default_workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let workers: usize = args.get_parsed("workers", default_workers)?;
-    if workers == 0 {
-        return Err("--workers must be at least 1".to_string());
-    }
-    let poll_ms: u64 = args.get_parsed("poll-ms", 200)?;
-    let kill_budget: Option<usize> = match args.get("kill-after") {
-        Some(raw) => Some(
-            raw.parse()
-                .map_err(|_| format!("--kill-after: cannot parse `{raw}`"))?,
-        ),
-        None => None,
-    };
     let mut service = ServiceConfig {
         spool,
         cache,
         scenarios,
-        workers,
-        poll: Duration::from_millis(poll_ms),
+        workers: args.workers()?,
+        poll: Duration::from_millis(args.parsed("poll-ms")?.unwrap_or(200)),
         drain: args.has("drain"),
-        kill_budget,
+        kill_budget: args.parsed("kill-after")?,
     };
 
     // A fresh service ignores control commands aimed at its predecessor.
@@ -344,76 +262,15 @@ fn serve_job(service: &mut ServiceConfig, job_path: &Path) -> Result<(), String>
     };
     let plan = SweepPlan::new(runs.into_iter().map(|r| (r.label, r.config)).collect());
 
-    let scan = service
-        .cache
-        .scan()
-        .map_err(|e| format!("cache scan: {e}"))?;
-    let total = plan.len();
-    let cached = plan.cached(&scan);
-    let novel = plan.novel(&scan);
-    eprintln!(
-        "[serve] job {}: {total} shard(s), {cached} cached, {} novel",
-        spec.name,
-        novel.len()
-    );
-
-    // How many plan shards each novel key satisfies, so progress counts
-    // advance by shard coverage as keys complete.
-    let multiplicity = |shard: &Shard| plan.shards().iter().filter(|s| s.key == shard.key).count();
-    let mut done = cached;
-    write_progress(service, &spec.name, done, total)?;
-
-    let chunk_size = (service.workers * CHUNK_PER_WORKER).max(1);
-    let mut executed = 0usize;
-    let mut offset = 0usize;
-    while offset < novel.len() {
-        if service.kill_budget == Some(0) {
-            sigkill_self();
-        }
-        let take = chunk_size
-            .min(novel.len() - offset)
-            .min(service.kill_budget.unwrap_or(usize::MAX));
-        let chunk = &novel[offset..offset + take];
-        service
-            .cache
-            .execute(chunk, service.workers)
-            .map_err(|e| format!("cache execute: {e}"))?;
-        executed += chunk.len();
-        done += chunk.iter().map(multiplicity).sum::<usize>();
-        offset += take;
-        write_progress(service, &spec.name, done, total)?;
-        if let Some(budget) = &mut service.kill_budget {
-            *budget -= take;
-            if *budget == 0 {
-                sigkill_self();
-            }
-        }
-    }
-
-    // Re-scan and merge; one retry covers a record quarantined between
-    // the scheduling scan and this one (its shard simply re-runs).
-    let mut scan = service
-        .cache
-        .scan()
-        .map_err(|e| format!("cache rescan: {e}"))?;
-    let retry = plan.novel(&scan);
-    if !retry.is_empty() {
-        eprintln!(
-            "[serve] job {}: {} shard(s) lost to damaged records; re-running",
-            spec.name,
-            retry.len()
-        );
-        service
-            .cache
-            .execute(&retry, service.workers)
-            .map_err(|e| format!("cache re-execute: {e}"))?;
-        executed += retry.len();
-        scan = service
-            .cache
-            .scan()
-            .map_err(|e| format!("cache rescan: {e}"))?;
-    }
-    let outcome = match plan.merged(&scan) {
+    let run = run_plan(
+        &service.cache,
+        &plan,
+        service.workers,
+        &mut service.kill_budget,
+        &format!("[serve] job {}", spec.name),
+        |done, total| write_progress(&service.spool, &spec.name, done, total),
+    )?;
+    let outcome = match run.merged {
         Ok(reports) => {
             let mut body = String::new();
             for report in &reports {
@@ -423,9 +280,9 @@ fn serve_job(service: &mut ServiceConfig, job_path: &Path) -> Result<(), String>
             write_atomic(&service.spool.reports_path(&spec.name), &body)?;
             JobOutcome {
                 name: spec.name.clone(),
-                total,
-                cached,
-                executed,
+                total: plan.len(),
+                cached: run.cached,
+                executed: run.executed,
                 result_fingerprint: fnv1a(body.as_bytes()),
                 error: None,
             }
@@ -454,19 +311,14 @@ fn failed(name: &str, error: String) -> JobOutcome {
     }
 }
 
-fn write_progress(
-    service: &ServiceConfig,
-    name: &str,
-    done: usize,
-    total: usize,
-) -> Result<(), String> {
+fn write_progress(spool: &Spool, name: &str, done: usize, total: usize) -> Result<(), String> {
     let progress = JobProgress {
         name: name.to_string(),
         done,
         total,
     };
     write_atomic(
-        &service.spool.progress_path(name),
+        &spool.progress_path(name),
         &format!("{}\n", encode_progress(&progress)),
     )
 }
@@ -600,7 +452,7 @@ fn cmd_control(args: &Args, what: &str) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let raw: Vec<String> = env::args().skip(1).collect();
-    let args = match Args::parse(&raw) {
+    let args = match Args::parse(&raw, VALUE_FLAGS) {
         Ok(args) => args,
         Err(e) => {
             eprintln!("error: {e}");

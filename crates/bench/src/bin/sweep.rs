@@ -1,62 +1,53 @@
-//! The sharded sweep driver: runs a `.peas` sweep across N worker
-//! processes with per-shard checkpointing, worker supervision and a
-//! `--resume` path (see `peas_sim::SweepSession` for the journal format).
+//! The sweep front end: runs a `.peas` sweep against a result cache
+//! (`peas_sim::ResultCache`) on a thread pool, resumes it after any
+//! interruption, and byte-compares two caches' merged reports.
 //!
 //! ```text
-//! Usage: sweep <command> <scenario> --journal DIR [options]
+//! Usage: sweep <command> <scenario> --cache DIR [options]
 //!
 //! Commands:
-//!   run      execute the sweep across worker processes, then merge
-//!   status   print journal progress (completed/total, missing shards)
-//!   verify   compare two journals' merged reports byte for byte
-//!   worker   internal: run one worker slot in-process
+//!   run      execute the shards the cache lacks, then merge
+//!   status   print cache progress (cached/total, pending shards)
+//!   verify   compare two caches' merged reports byte for byte
 //!
 //! Options (run):
-//!   --journal DIR        checkpoint directory (required)
-//!   --workers N          worker processes (default: available cores)
-//!   --retries K          respawns per worker after a death (default 2)
-//!   --timeout-secs S     kill a worker with no journal progress for S
-//!                        seconds (default 600, 0 disables)
-//!   --resume             continue an existing journal instead of
-//!                        refusing to touch it
-//!   --kill-worker W:K    fault injection: worker W's first attempt is
-//!                        SIGKILLed after journaling K shards
+//!   --cache DIR        result-cache directory (required)
+//!   --workers N        executor threads (default: available cores)
+//!   --resume           continue a sweep the cache already holds shards
+//!                      of, instead of refusing to touch it
+//!   --kill-after K     fault injection: SIGKILL self after K executed
+//!                      shards
 //!
 //! Options (verify):
-//!   --against DIR        the reference journal to compare with
-//!
-//! Options (worker):
-//!   --shard I/N          this worker's slot (self-schedules over the
-//!                        journal: runs pending shards with index%N==I)
-//!   --die-after K        fault injection: SIGKILL self after K shards
+//!   --against DIR      the reference cache to compare with
 //! ```
 //!
 //! `<scenario>` is a corpus stem (e.g. `sweep-smoke`, resolving to
-//! `scenarios/sweep-smoke.peas`) or a path to any `.peas` file. A sweep
-//! interrupted at any point — worker SIGKILL, machine crash, ^C — resumes
-//! with `--resume` and produces a merged report byte-identical to an
-//! uninterrupted run (pinned by `tests/sweep_resume.rs` and the
-//! `sweep-resume` CI job).
+//! `scenarios/sweep-smoke.peas`) or a path to any `.peas` file. `run` is
+//! the plan loop `serve` uses (`peas_bench::run_plan`). A sweep
+//! interrupted at any point — SIGKILL, machine crash, ^C — resumes with
+//! `--resume` and produces a merged report byte-identical to an
+//! uninterrupted run (pinned by `tests/sweep_resume.rs` and
+//! `crates/bench/tests/serve_smoke.rs`).
 
 use std::env;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, ExitCode};
-use std::time::{Duration, Instant};
+use std::process::ExitCode;
 
-use peas_scenario::{load_compiled, sample_fingerprint, CompiledScenario};
-use peas_sim::{encode_report, RunReport, SweepSession};
+use peas_bench::{run_plan, Args};
+use peas_scenario::{load_compiled, sample_fingerprint};
+use peas_sim::{encode_report, fnv1a, ResultCache, RunReport, SessionError, SweepPlan};
 
-/// FNV-1a over the per-run fingerprint renderings: one number that pins
-/// the whole merged sweep.
+const VALUE_FLAGS: &[&str] = &["--cache", "--workers", "--kill-after", "--against"];
+
+/// FNV-1a over the concatenated per-run fingerprint renderings: one
+/// number that pins the whole merged sweep.
 fn sweep_fingerprint(reports: &[RunReport]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for report in reports {
-        for byte in format!("{:#018X}", sample_fingerprint(report)).as_bytes() {
-            hash ^= u64::from(*byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    hash
+    let renderings: String = reports
+        .iter()
+        .map(|report| format!("{:#018X}", sample_fingerprint(report)))
+        .collect();
+    fnv1a(renderings.as_bytes())
 }
 
 /// Resolves `<scenario>` to a `.peas` path: a path is used as-is, a bare
@@ -69,346 +60,103 @@ fn scenario_path(arg: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("../../scenarios/{arg}.peas"))
 }
 
-fn load_scenario(arg: &str) -> Result<CompiledScenario, String> {
+/// Loads `<scenario>` and expands its sweep: the scenario's name and plan.
+fn load_plan(arg: &str) -> Result<(String, SweepPlan), String> {
     let path = scenario_path(arg);
-    load_compiled(&path).map_err(|e| format!("{}: {e}", path.display()))
-}
-
-fn open_session(scenario: &CompiledScenario, journal: &Path) -> Result<SweepSession, String> {
+    let scenario = load_compiled(&path).map_err(|e| format!("{}: {e}", path.display()))?;
     let runs = scenario
         .runs()
         .into_iter()
         .map(|run| (run.label, run.config))
         .collect();
-    SweepSession::create(journal, runs).map_err(|e| format!("{}: {e}", journal.display()))
+    Ok((scenario.name, SweepPlan::new(runs)))
 }
 
-/// Minimal flag parser: `--key value` pairs plus boolean flags.
-struct Args {
-    positional: Vec<String>,
-    flags: Vec<(String, Option<String>)>,
+/// Opens the cache named by `--flag DIR`.
+fn open_cache(args: &Args, flag: &str) -> Result<ResultCache, String> {
+    let dir = args.dir(flag)?;
+    ResultCache::open(&dir).map_err(|e| format!("{}: {e}", dir.display()))
 }
 
-const VALUE_FLAGS: &[&str] = &[
-    "--journal",
-    "--workers",
-    "--retries",
-    "--timeout-secs",
-    "--kill-worker",
-    "--against",
-    "--shard",
-    "--die-after",
-];
-
-impl Args {
-    fn parse(raw: &[String]) -> Result<Args, String> {
-        let mut positional = Vec::new();
-        let mut flags = Vec::new();
-        let mut iter = raw.iter();
-        while let Some(arg) = iter.next() {
-            if let Some(flag) = arg.strip_prefix("--") {
-                if VALUE_FLAGS.contains(&arg.as_str()) {
-                    let value = iter
-                        .next()
-                        .ok_or_else(|| format!("--{flag} needs a value"))?;
-                    flags.push((flag.to_string(), Some(value.clone())));
-                } else {
-                    flags.push((flag.to_string(), None));
-                }
-            } else {
-                positional.push(arg.clone());
-            }
-        }
-        Ok(Args { positional, flags })
-    }
-
-    fn get(&self, flag: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .find(|(k, _)| k == flag)
-            .and_then(|(_, v)| v.as_deref())
-    }
-
-    fn has(&self, flag: &str) -> bool {
-        self.flags.iter().any(|(k, _)| k == flag)
-    }
-
-    fn get_parsed<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, String> {
-        match self.get(flag) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| format!("--{flag}: cannot parse `{raw}`")),
-        }
-    }
-
-    fn journal(&self) -> Result<&Path, String> {
-        self.get("journal")
-            .map(Path::new)
-            .ok_or_else(|| "--journal DIR is required".to_string())
-    }
-}
-
-/// Parses `I/N` (shard slot) or `W:K` (kill injection) pairs.
-fn parse_pair(raw: &str, sep: char, what: &str) -> Result<(usize, usize), String> {
-    let parts: Vec<&str> = raw.splitn(2, sep).collect();
-    if let [a, b] = parts[..] {
-        if let (Ok(a), Ok(b)) = (a.parse(), b.parse()) {
-            return Ok((a, b));
-        }
-    }
-    Err(format!("{what}: expected `A{sep}B`, got `{raw}`"))
-}
-
-/// SIGKILLs the current process (the fault-injection path of
-/// `--die-after`); falls back to `abort` if no `kill` binary exists.
-fn sigkill_self() -> ! {
-    let pid = std::process::id().to_string();
-    let _ = Command::new("kill").args(["-KILL", &pid]).status();
-    // Give the signal a moment to land, then hard-stop regardless.
-    std::thread::sleep(Duration::from_secs(2));
-    std::process::abort();
-}
-
-fn cmd_worker(scenario_arg: &str, args: &Args) -> Result<(), String> {
-    let (worker, workers) = parse_pair(
-        args.get("shard").ok_or("--shard I/N is required")?,
-        '/',
-        "--shard",
-    )?;
-    if workers == 0 || worker >= workers {
-        return Err(format!("--shard: slot {worker}/{workers} out of range"));
-    }
-    let die_after: usize = args.get_parsed("die-after", usize::MAX)?;
-    let scenario = load_scenario(scenario_arg)?;
-    let session = open_session(&scenario, args.journal()?)?;
-    if die_after != usize::MAX {
-        let ran = session
-            .run_worker(worker, workers, Some(die_after))
-            .map_err(|e| e.to_string())?;
-        if ran >= die_after {
-            sigkill_self();
-        }
-        return Ok(());
-    }
-    let ran = session
-        .run_worker(worker, workers, None)
-        .map_err(|e| e.to_string())?;
-    eprintln!("[worker {worker}/{workers}] ran {ran} shard(s)");
-    Ok(())
-}
-
-/// One supervised worker process.
-struct Slot {
-    worker: usize,
-    child: Option<Child>,
-    attempts: usize,
-    /// Journal bytes in this worker's segment when progress last advanced.
-    last_len: u64,
-    last_advance: Instant,
-    failed: bool,
-}
-
-fn spawn_worker(
-    scenario_arg: &str,
-    journal: &Path,
-    worker: usize,
-    workers: usize,
-    die_after: Option<usize>,
-) -> Result<Child, String> {
-    let exe = env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
-    let mut cmd = Command::new(exe);
-    cmd.arg("worker")
-        .arg(scenario_arg)
-        .arg("--journal")
-        .arg(journal)
-        .arg("--shard")
-        .arg(format!("{worker}/{workers}"));
-    if let Some(k) = die_after {
-        cmd.arg("--die-after").arg(k.to_string());
-    }
-    cmd.spawn()
-        .map_err(|e| format!("cannot spawn worker {worker}: {e}"))
-}
-
-fn segment_len(session: &SweepSession, worker: usize) -> u64 {
-    std::fs::metadata(session.segment_path(worker)).map_or(0, |m| m.len())
-}
-
-fn print_merge(scenario_name: &str, session: &SweepSession) -> Result<(), String> {
-    let reports = session.merged().map_err(|e| e.to_string())?;
-    for (shard, report) in session.shards().iter().zip(&reports) {
+fn print_merge(name: &str, plan: &SweepPlan, reports: &[RunReport]) {
+    for (shard, report) in plan.shards().iter().zip(reports) {
         println!("  {:<44} {:#018X}", shard.label, sample_fingerprint(report));
     }
     println!(
-        "{scenario_name}: {} run(s) merged, sweep_fingerprint = {:#018X}",
+        "{name}: {} run(s) merged, sweep_fingerprint = {:#018X}",
         reports.len(),
-        sweep_fingerprint(&reports)
+        sweep_fingerprint(reports)
     );
-    Ok(())
 }
 
-#[allow(clippy::too_many_lines)]
 fn cmd_run(scenario_arg: &str, args: &Args) -> Result<(), String> {
-    let scenario = load_scenario(scenario_arg)?;
-    let journal = args.journal()?;
-    let session = open_session(&scenario, journal)?;
-    let total = session.shards().len();
-
-    let (done_before, _) = session.progress().map_err(|e| e.to_string())?;
-    if done_before > 0 && !args.has("resume") {
+    let (name, plan) = load_plan(scenario_arg)?;
+    let cache = open_cache(args, "cache")?;
+    let held = plan.cached(&cache.scan().map_err(|e| format!("cache scan: {e}"))?);
+    if held > 0 && !args.has("resume") {
         return Err(format!(
-            "journal {} already holds {done_before} completed shard(s); \
-             pass --resume to continue it or point --journal at a fresh directory",
-            journal.display()
+            "cache {} already holds {held} of this sweep's shard(s); \
+             pass --resume to continue it or point --cache at a fresh directory",
+            cache.dir().display()
         ));
     }
-    if done_before == total {
-        println!("nothing to do: all {total} shard(s) already journaled");
-        return print_merge(&scenario.name, &session);
-    }
-
-    let default_workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let workers: usize = args.get_parsed("workers", default_workers.min(total))?;
-    if workers == 0 {
-        return Err("--workers must be at least 1".to_string());
-    }
-    let retries: usize = args.get_parsed("retries", 2)?;
-    let timeout_secs: u64 = args.get_parsed("timeout-secs", 600)?;
-    let kill = match args.get("kill-worker") {
-        Some(raw) => Some(parse_pair(raw, ':', "--kill-worker")?),
-        None => None,
-    };
-
-    println!(
-        "{}: {total} shard(s) over {workers} worker(s){}",
-        scenario.name,
-        if done_before > 0 {
-            format!(" (resuming, {done_before} already journaled)")
-        } else {
-            String::new()
+    let run = run_plan(
+        &cache,
+        &plan,
+        args.workers()?,
+        &mut args.parsed("kill-after")?,
+        &format!("[sweep] {name}"),
+        |done, total| {
+            eprintln!("[sweep] {done}/{total} shard(s) cached");
+            Ok(())
+        },
+    )?;
+    match run.merged {
+        Ok(reports) => {
+            print_merge(&name, &plan, &reports);
+            Ok(())
         }
-    );
-
-    let mut slots = Vec::with_capacity(workers);
-    for worker in 0..workers {
-        let die_after = kill.and_then(|(w, k)| (w == worker).then_some(k));
-        let child = spawn_worker(scenario_arg, journal, worker, workers, die_after)?;
-        slots.push(Slot {
-            worker,
-            child: Some(child),
-            attempts: 1,
-            last_len: segment_len(&session, worker),
-            last_advance: Instant::now(),
-            failed: false,
-        });
-    }
-
-    let mut deaths = 0usize;
-    let mut last_reported = done_before;
-    loop {
-        let mut alive = false;
-        for slot in &mut slots {
-            let Some(child) = &mut slot.child else {
-                continue;
-            };
-            // Progress watchdog: a worker whose segment hasn't grown for
-            // the whole timeout is stuck inside one shard — kill it and
-            // let the retry path re-run that shard.
-            let len = segment_len(&session, slot.worker);
-            if len > slot.last_len {
-                slot.last_len = len;
-                slot.last_advance = Instant::now();
-            } else if timeout_secs > 0 && slot.last_advance.elapsed().as_secs() > timeout_secs {
-                eprintln!(
-                    "[sweep] worker {} made no progress for {timeout_secs}s; killing",
-                    slot.worker
-                );
-                let _ = child.kill();
-            }
-            match child.try_wait().map_err(|e| e.to_string())? {
-                None => alive = true,
-                Some(status) if status.success() => slot.child = None,
-                Some(status) => {
-                    deaths += 1;
-                    slot.child = None;
-                    if slot.attempts <= retries {
-                        eprintln!(
-                            "[sweep] worker {} died ({status}); respawning (attempt {}/{})",
-                            slot.worker,
-                            slot.attempts + 1,
-                            retries + 1
-                        );
-                        // Retries never re-inject the death fault: the
-                        // injection models a one-off crash.
-                        let child =
-                            spawn_worker(scenario_arg, journal, slot.worker, workers, None)?;
-                        slot.child = Some(child);
-                        slot.attempts += 1;
-                        slot.last_advance = Instant::now();
-                        alive = true;
-                    } else {
-                        eprintln!(
-                            "[sweep] worker {} died ({status}); retries exhausted",
-                            slot.worker
-                        );
-                        slot.failed = true;
-                    }
-                }
-            }
-        }
-        let (done, _) = session.progress().map_err(|e| e.to_string())?;
-        if done != last_reported {
-            println!("[sweep] {done}/{total} shard(s) journaled");
-            last_reported = done;
-        }
-        if !alive {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-
-    if deaths > 0 {
-        eprintln!("[sweep] {deaths} worker death(s) during the run");
-    }
-    match session.merged() {
-        Ok(_) => print_merge(&scenario.name, &session),
         Err(e) => Err(format!(
-            "{e}; resume with: sweep run {scenario_arg} --journal {} --resume",
-            journal.display()
+            "{e}; resume with: sweep run {scenario_arg} --cache {} --resume",
+            cache.dir().display()
         )),
     }
 }
 
 fn cmd_status(scenario_arg: &str, args: &Args) -> Result<(), String> {
-    let scenario = load_scenario(scenario_arg)?;
-    let session = open_session(&scenario, args.journal()?)?;
-    let (done, total) = session.progress().map_err(|e| e.to_string())?;
-    println!("{}: {done}/{total} shard(s) journaled", scenario.name);
-    let pending = session.pending().map_err(|e| e.to_string())?;
-    for index in &pending {
-        println!("  pending #{index}: {}", session.shards()[*index].label);
-    }
-    if pending.is_empty() {
-        print_merge(&scenario.name, &session)?;
+    let (name, plan) = load_plan(scenario_arg)?;
+    let scan = open_cache(args, "cache")?
+        .scan()
+        .map_err(|e| format!("cache scan: {e}"))?;
+    println!(
+        "{name}: {}/{} shard(s) cached",
+        plan.cached(&scan),
+        plan.len()
+    );
+    match plan.merged(&scan) {
+        Ok(reports) => print_merge(&name, &plan, &reports),
+        Err(SessionError::Incomplete { missing }) => {
+            for shard in missing.iter().filter_map(|&i| plan.shards().get(i)) {
+                println!("  pending #{}: {}", shard.index, shard.label);
+            }
+        }
     }
     Ok(())
 }
 
 fn cmd_verify(scenario_arg: &str, args: &Args) -> Result<(), String> {
-    let scenario = load_scenario(scenario_arg)?;
-    let against = args
-        .get("against")
-        .ok_or("--against DIR is required for verify")?;
-    let session = open_session(&scenario, args.journal()?)?;
-    let reference = open_session(&scenario, Path::new(against))?;
-    let a = session.merged().map_err(|e| format!("--journal: {e}"))?;
-    let b = reference.merged().map_err(|e| format!("--against: {e}"))?;
-    for (shard, (ra, rb)) in session.shards().iter().zip(a.iter().zip(&b)) {
-        let (ea, eb) = (encode_report(ra), encode_report(rb));
-        if ea != eb {
+    let (_, plan) = load_plan(scenario_arg)?;
+    let merged = |flag: &str| -> Result<Vec<RunReport>, String> {
+        let scan = open_cache(args, flag)?
+            .scan()
+            .map_err(|e| format!("--{flag}: {e}"))?;
+        plan.merged(&scan).map_err(|e| format!("--{flag}: {e}"))
+    };
+    let (a, b) = (merged("cache")?, merged("against")?);
+    for (shard, (ra, rb)) in plan.shards().iter().zip(a.iter().zip(&b)) {
+        if encode_report(ra) != encode_report(rb) {
             return Err(format!(
-                "shard #{} ({}) differs between the journals \
+                "shard #{} ({}) differs between the caches \
                  (fingerprints {:#018X} vs {:#018X})",
                 shard.index,
                 shard.label,
@@ -427,7 +175,7 @@ fn cmd_verify(scenario_arg: &str, args: &Args) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let raw: Vec<String> = env::args().skip(1).collect();
-    let args = match Args::parse(&raw) {
+    let args = match Args::parse(&raw, VALUE_FLAGS) {
         Ok(args) => args,
         Err(e) => {
             eprintln!("error: {e}");
@@ -436,8 +184,8 @@ fn main() -> ExitCode {
     };
     let [command, scenario_arg] = &args.positional[..] else {
         eprintln!(
-            "usage: sweep <run|status|verify|worker> <scenario> --journal DIR [options]\n\
-             (e.g. `sweep run sweep-smoke --journal target/sweep --workers 2`; \
+            "usage: sweep <run|status|verify> <scenario> --cache DIR [options]\n\
+             (e.g. `sweep run sweep-smoke --cache target/sweep --workers 2`; \
              see the module docs in crates/bench/src/bin/sweep.rs)"
         );
         return ExitCode::from(2);
@@ -446,9 +194,8 @@ fn main() -> ExitCode {
         "run" => cmd_run(scenario_arg, &args),
         "status" => cmd_status(scenario_arg, &args),
         "verify" => cmd_verify(scenario_arg, &args),
-        "worker" => cmd_worker(scenario_arg, &args),
         other => Err(format!(
-            "unknown command `{other}`; expected run, status, verify or worker"
+            "unknown command `{other}`; expected run, status or verify"
         )),
     };
     match result {

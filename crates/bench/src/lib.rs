@@ -22,9 +22,219 @@
 //! | [`experiments::loss`]      | §4 — multi-PROBE loss compensation |
 //! | [`experiments::turnoff`]   | §4 — working-node turn-off ablation |
 //! | [`experiments::baselines`] | §§1/6 — PEAS vs always-on / synchronized / GAF |
+//!
+//! It also holds what the `sweep` and `serve` bins share: the plan loop
+//! over the result cache ([`run_plan`], with the `--kill-after` fault
+//! injection) and the flag parser ([`Args`]).
 
 pub mod experiments;
 pub mod model_gate;
 pub mod sweeps;
 
 pub use experiments::ExperimentOpts;
+
+use std::path::PathBuf;
+use std::process::Command;
+use std::str::FromStr;
+use std::time::Duration;
+
+use peas_sim::{ResultCache, RunReport, SessionError, Shard, SweepPlan};
+
+/// Minimal flag parser shared by the `sweep` and `serve` bins: positional
+/// arguments, `--key value` pairs and boolean `--key` flags.
+pub struct Args {
+    /// The arguments that are not flags, in order.
+    pub positional: Vec<String>,
+    flags: Vec<(String, Option<String>)>,
+}
+
+impl Args {
+    /// Parses `raw`; each flag named in `value_flags` (with its dashes)
+    /// takes the next argument as its value.
+    ///
+    /// # Errors
+    ///
+    /// A value flag at the end of `raw`.
+    pub fn parse(raw: &[String], value_flags: &[&str]) -> Result<Args, String> {
+        let mut positional = Vec::new();
+        let mut flags = Vec::new();
+        let mut iter = raw.iter();
+        while let Some(arg) = iter.next() {
+            if let Some(flag) = arg.strip_prefix("--") {
+                if value_flags.contains(&arg.as_str()) {
+                    let value = iter
+                        .next()
+                        .ok_or_else(|| format!("--{flag} needs a value"))?;
+                    flags.push((flag.to_string(), Some(value.clone())));
+                } else {
+                    flags.push((flag.to_string(), None));
+                }
+            } else {
+                positional.push(arg.clone());
+            }
+        }
+        Ok(Args { positional, flags })
+    }
+
+    /// The value of `--flag`, if given.
+    pub fn get(&self, flag: &str) -> Option<&str> {
+        self.flags
+            .iter()
+            .find(|(k, _)| k == flag)
+            .and_then(|(_, v)| v.as_deref())
+    }
+
+    /// Whether `--flag` was given.
+    pub fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(k, _)| k == flag)
+    }
+
+    /// The value of `--flag` parsed as a `T`, if given.
+    ///
+    /// # Errors
+    ///
+    /// A value that does not parse.
+    pub fn parsed<T: FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        self.get(flag)
+            .map(|raw| {
+                raw.parse()
+                    .map_err(|_| format!("--{flag}: cannot parse `{raw}`"))
+            })
+            .transpose()
+    }
+
+    /// The directory `--flag DIR`.
+    ///
+    /// # Errors
+    ///
+    /// The flag is missing.
+    pub fn dir(&self, flag: &str) -> Result<PathBuf, String> {
+        self.get(flag)
+            .map(PathBuf::from)
+            .ok_or_else(|| format!("--{flag} DIR is required"))
+    }
+
+    /// `--workers N`: executor threads, the available cores by default.
+    ///
+    /// # Errors
+    ///
+    /// A value that does not parse, or 0.
+    pub fn workers(&self) -> Result<usize, String> {
+        let default = std::thread::available_parallelism().map_or(1, |n| n.get());
+        match self.parsed("workers")?.unwrap_or(default) {
+            0 => Err("--workers must be at least 1".to_string()),
+            n => Ok(n),
+        }
+    }
+}
+
+/// SIGKILLs the current process — the `--kill-after` fault-injection
+/// path, leaving the cache exactly as a crash would. Falls back to
+/// `abort` if no `kill` binary exists.
+fn sigkill_self() -> ! {
+    let pid = std::process::id().to_string();
+    let _ = Command::new("kill").args(["-KILL", &pid]).status();
+    // Give the signal a moment to land, then hard-stop regardless.
+    std::thread::sleep(Duration::from_secs(2));
+    std::process::abort();
+}
+
+/// Novel shards executed per scheduling chunk: small enough that
+/// progress reports advance while a sweep runs, large enough that the
+/// worker pool stays saturated between chunk boundaries.
+const CHUNK_PER_WORKER: usize = 2;
+
+/// What [`run_plan`] did to answer a plan.
+#[derive(Debug)]
+pub struct PlanRun {
+    /// Plan shards the cache served before anything ran.
+    pub cached: usize,
+    /// Shards executed, including re-runs of records lost to damage.
+    pub executed: usize,
+    /// The plan's reports in shard order, or the shards still missing.
+    pub merged: Result<Vec<RunReport>, SessionError>,
+}
+
+/// Answers `plan` from `cache` — the one plan loop behind `sweep run`
+/// and `serve`: scan, execute the novel shards on `workers` threads in
+/// chunks, rescan with one retry, merge. `progress(done, total)` is
+/// called before the first chunk and after each; `log` prefixes the
+/// status lines written to stderr.
+///
+/// `kill_budget` is fault injection: with `Some(k)`, the process
+/// SIGKILLs itself once `k` more shards have executed, so the cache is
+/// left as a crash would leave it. The budget carries over between calls.
+///
+/// # Errors
+///
+/// Cache I/O failures, and any error `progress` returns.
+pub fn run_plan(
+    cache: &ResultCache,
+    plan: &SweepPlan,
+    workers: usize,
+    kill_budget: &mut Option<usize>,
+    log: &str,
+    mut progress: impl FnMut(usize, usize) -> Result<(), String>,
+) -> Result<PlanRun, String> {
+    let scan = cache.scan().map_err(|e| format!("cache scan: {e}"))?;
+    let total = plan.len();
+    let cached = plan.cached(&scan);
+    let novel = plan.novel(&scan);
+    eprintln!(
+        "{log}: {total} shard(s), {cached} cached, {} novel",
+        novel.len()
+    );
+
+    // How many plan shards each novel key satisfies, so progress counts
+    // advance by shard coverage as keys complete.
+    let multiplicity = |shard: &Shard| plan.shards().iter().filter(|s| s.key == shard.key).count();
+    let mut done = cached;
+    progress(done, total)?;
+
+    let chunk_size = (workers * CHUNK_PER_WORKER).max(1);
+    let mut executed = 0usize;
+    let mut offset = 0usize;
+    while offset < novel.len() {
+        if *kill_budget == Some(0) {
+            sigkill_self();
+        }
+        let take = chunk_size
+            .min(novel.len() - offset)
+            .min(kill_budget.unwrap_or(usize::MAX));
+        let chunk = &novel[offset..offset + take];
+        cache
+            .execute(chunk, workers)
+            .map_err(|e| format!("cache execute: {e}"))?;
+        executed += chunk.len();
+        done += chunk.iter().map(multiplicity).sum::<usize>();
+        offset += take;
+        progress(done, total)?;
+        if let Some(budget) = kill_budget {
+            *budget -= take;
+            if *budget == 0 {
+                sigkill_self();
+            }
+        }
+    }
+
+    // Re-scan and merge; one retry covers a record quarantined between
+    // the scheduling scan and this one (its shard simply re-runs).
+    let mut scan = cache.scan().map_err(|e| format!("cache rescan: {e}"))?;
+    let retry = plan.novel(&scan);
+    if !retry.is_empty() {
+        eprintln!(
+            "{log}: {} shard(s) lost to damaged records; re-running",
+            retry.len()
+        );
+        cache
+            .execute(&retry, workers)
+            .map_err(|e| format!("cache re-execute: {e}"))?;
+        executed += retry.len();
+        scan = cache.scan().map_err(|e| format!("cache rescan: {e}"))?;
+    }
+    Ok(PlanRun {
+        cached,
+        executed,
+        merged: plan.merged(&scan),
+    })
+}

@@ -1,8 +1,8 @@
-//! Process-level conformance for `peas-bench serve`: drive the real
-//! binary through the full job lifecycle — submit, serve, SIGKILL
-//! mid-sweep, restart, resume — and byte-compare every response against
-//! an in-process reference run. This is the library-free mirror of the
-//! `serve-smoke` CI job.
+//! Process-level fault injection for the sweep executor: drive the real
+//! `serve` and `sweep` binaries through SIGKILL mid-sweep, restart or
+//! `--resume`, dedup and overlap, and byte-compare every answer against
+//! an uninterrupted reference — an in-process run or `scenario run
+//! --json`. The `fault-injection` CI job runs this suite.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -50,14 +50,37 @@ fn serve(args: &[&str]) -> Output {
         .expect("spawn serve binary")
 }
 
-fn serve_ok(args: &[&str]) -> Output {
-    let out = serve(args);
+fn sweep(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_sweep"))
+        .args(args)
+        .output()
+        .expect("spawn sweep binary")
+}
+
+fn ok(what: &str, args: &[&str], out: Output) -> Output {
     assert!(
         out.status.success(),
-        "serve {args:?} failed:\n{}",
+        "{what} {args:?} failed:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
     out
+}
+
+fn serve_ok(args: &[&str]) -> Output {
+    ok("serve", args, serve(args))
+}
+
+fn sweep_ok(args: &[&str]) -> Output {
+    ok("sweep", args, sweep(args))
+}
+
+/// A file of the committed `scenarios/` corpus.
+fn corpus(file: &str) -> String {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../scenarios")
+        .join(file)
+        .to_string_lossy()
+        .into_owned()
 }
 
 struct TestSpool {
@@ -83,12 +106,11 @@ impl TestSpool {
     fn submit(&self, name: &str) {
         let file = self.root.join(format!("{name}.submission.json"));
         fs::write(&file, job_json(name)).expect("write job file");
-        serve_ok(&[
-            "submit",
-            file.to_str().expect("utf8"),
-            "--spool",
-            &self.spool(),
-        ]);
+        self.submit_file(file.to_str().expect("utf8"));
+    }
+
+    fn submit_file(&self, file: &str) {
+        serve_ok(&["submit", file, "--spool", &self.spool()]);
     }
 
     fn drain(&self, extra: &[&str]) -> Output {
@@ -229,4 +251,98 @@ fn unservable_jobs_fail_cleanly_and_do_not_wedge_the_spool() {
     let good = t.response("good");
     assert!(good.is_done(), "later jobs still serve: {good:?}");
     assert_eq!(t.reports("good"), reference_bytes());
+}
+
+/// The corpus jobs end to end: `sweep-smoke` killed after two executed
+/// shards resumes on restart (`cached=2 executed=2`) with the bytes of
+/// `scenario run sweep-smoke --json`; the overlapping inline job runs
+/// only its two novel grid points; an exact duplicate runs nothing.
+#[test]
+fn corpus_jobs_resume_dedup_and_overlap() {
+    let t = TestSpool::new("corpus");
+    t.submit_file(&corpus("jobs/sweep-smoke.json"));
+    let out = t.drain(&["--kill-after", "2"]);
+    assert!(!out.status.success(), "--kill-after must die abnormally");
+    assert!(PathBuf::from(t.spool())
+        .join("active")
+        .join("nightly-sweep-smoke.json")
+        .exists());
+    let scan = ResultCache::open(t.cache())
+        .expect("open cache")
+        .scan()
+        .expect("scan");
+    assert_eq!((scan.len(), scan.quarantined), (2, 0));
+
+    assert!(t.drain(&[]).status.success());
+    let first = t.response("nightly-sweep-smoke");
+    assert_eq!((first.total, first.cached, first.executed), (4, 2, 2));
+    let direct = Command::new(env!("CARGO_BIN_EXE_scenario"))
+        .args(["run", "sweep-smoke", "--json"])
+        .output()
+        .expect("spawn scenario binary");
+    assert!(direct.status.success());
+    assert_eq!(
+        t.reports("nightly-sweep-smoke").as_bytes(),
+        direct.stdout.as_slice(),
+        "served reports must equal `scenario run sweep-smoke --json`"
+    );
+
+    t.submit_file(&corpus("jobs/overlap-inline.json"));
+    assert!(t.drain(&[]).status.success());
+    let overlap = t.response("adhoc-overlap");
+    assert_eq!((overlap.total, overlap.cached, overlap.executed), (4, 2, 2));
+
+    t.submit_file(&corpus("jobs/sweep-smoke.json"));
+    assert!(t.drain(&[]).status.success());
+    let again = t.response("nightly-sweep-smoke");
+    assert_eq!((again.total, again.cached, again.executed), (4, 4, 0));
+    assert_eq!(t.reports("nightly-sweep-smoke").as_bytes(), direct.stdout);
+}
+
+/// `sweep run` on the same executor: killed after one shard it leaves
+/// exactly one record, refuses the partial cache without `--resume`,
+/// completes with it, and `verify` finds the result byte-identical to an
+/// uninterrupted cache, with sweep-smoke's pinned sweep fingerprint.
+#[test]
+fn killed_sweep_resumes_and_verifies_against_an_uninterrupted_cache() {
+    let t = TestSpool::new("sweep");
+    let cache = t.cache();
+    let reference = t.root.join("reference").to_string_lossy().into_owned();
+
+    let killed = ["run", "sweep-smoke", "--cache", &cache, "--workers", "2"];
+    let out = sweep(&[&killed[..], &["--kill-after", "1"]].concat());
+    assert!(!out.status.success(), "--kill-after must die abnormally");
+    let scan = ResultCache::open(&cache)
+        .expect("open cache")
+        .scan()
+        .expect("scan");
+    assert_eq!((scan.len(), scan.quarantined), (1, 0), "one record cached");
+
+    let refused = sweep(&killed);
+    assert!(!refused.status.success());
+    assert!(String::from_utf8_lossy(&refused.stderr).contains("--resume"));
+    sweep_ok(&[&killed[..], &["--resume"]].concat());
+
+    sweep_ok(&[
+        "run",
+        "sweep-smoke",
+        "--cache",
+        &reference,
+        "--workers",
+        "1",
+    ]);
+    let args = [
+        "verify",
+        "sweep-smoke",
+        "--cache",
+        &cache,
+        "--against",
+        &reference,
+    ];
+    let out = sweep_ok(&args);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("4 run(s) byte-identical, sweep_fingerprint = 0xBF30501023E0ADFC"),
+        "{stdout}"
+    );
 }

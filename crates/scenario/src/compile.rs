@@ -165,31 +165,6 @@ impl CompiledScenario {
         }
     }
 
-    /// The runs of worker slot `worker` in a `workers`-way sharded
-    /// execution of this scenario's sweep: every run whose position in
-    /// the [`CompiledScenario::runs`] enumeration satisfies
-    /// `index % workers == worker`. The slices of all workers partition
-    /// `runs()` exactly, in order — the contract the sweep journal's
-    /// positional merge relies on (`peas_sim::SweepSession` applies the
-    /// same rule).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is 0 or `worker >= workers`.
-    pub fn runs_for_shard(&self, worker: usize, workers: usize) -> Vec<SweepRun> {
-        assert!(workers >= 1, "need at least one worker slot");
-        assert!(
-            worker < workers,
-            "worker {worker} out of range 0..{workers}"
-        );
-        self.runs()
-            .into_iter()
-            .enumerate()
-            .filter(|(index, _)| index % workers == worker)
-            .map(|(_, run)| run)
-            .collect()
-    }
-
     /// The configuration the golden conformance run uses: the base (or
     /// the `[golden] point`-th sweep value) with the `[golden]` seed and
     /// horizon overrides applied.
@@ -1199,43 +1174,6 @@ horizon = 1000s
         let golden = c.golden_config();
         assert_eq!(golden.node_count, 320);
         assert_eq!(golden.horizon, SimTime::from_secs(1000));
-    }
-
-    #[test]
-    fn shards_partition_the_run_enumeration_in_order() {
-        let src = "\
-[deployment]
-count = 160
-
-[sweeps]
-axis = \"deployment.count\"
-values = [160, 320]
-seeds = [101, 102, 103]
-";
-        let c = compile_src(src).expect("compiles");
-        let all: Vec<String> = c.runs().into_iter().map(|r| r.label).collect();
-        for workers in 1..=4 {
-            let mut sliced: Vec<(usize, String)> = Vec::new();
-            for worker in 0..workers {
-                for (offset, run) in c.runs_for_shard(worker, workers).into_iter().enumerate() {
-                    sliced.push((worker + offset * workers, run.label));
-                }
-            }
-            sliced.sort_by_key(|(index, _)| *index);
-            assert_eq!(
-                sliced.iter().map(|(_, l)| l.clone()).collect::<Vec<_>>(),
-                all,
-                "workers={workers} does not partition runs() in order"
-            );
-        }
-        assert_eq!(c.runs_for_shard(1, 4).len(), 2); // indices 1 and 5
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn shard_worker_out_of_range_rejected() {
-        let c = compile_src("[deployment]\ncount = 60\n").expect("compiles");
-        let _ = c.runs_for_shard(2, 2);
     }
 
     #[test]

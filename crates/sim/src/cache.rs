@@ -1,24 +1,26 @@
-//! The content-addressed result cache behind the sweep service:
-//! [`ResultCache`] + [`SweepPlan`].
+//! The sweep store and executor: [`ResultCache`] + [`SweepPlan`].
 //!
-//! PR 5's sweep journal already keys every completed run by **config
-//! fingerprint + seed** ([`ShardKey`]); this module promotes that embryo
-//! into a *global*, long-lived store that many sweeps (and many clients)
-//! share. A submitted sweep is expanded to a [`SweepPlan`], every shard
-//! is looked up in the cache, and only the **novel** keys are executed —
-//! a re-submitted sweep runs zero shards, an overlapping sweep runs only
-//! its new grid points. Deterministic replay is what makes this sound: a
-//! cache hit is provably byte-identical to a cold re-run of the same
-//! shard (pinned by `crates/sim/tests/cache_equiv.rs`).
+//! A sweep is a deterministic list of (config, seed) runs, numbered as
+//! *shards* ([`enumerate_shards`]) and keyed by **config fingerprint +
+//! seed** ([`ShardKey`]). A completed run is a fact about its
+//! configuration, not about the sweep that produced it, so one
+//! long-lived store serves every sweep: a sweep is expanded to a
+//! [`SweepPlan`], every shard is looked up in the cache, and only the
+//! **novel** keys are executed ([`ResultCache::execute`]). A re-submitted
+//! sweep runs zero shards, an overlapping sweep runs only its new grid
+//! points, and an interrupted sweep resumes by running again.
+//! Deterministic replay is what makes this sound: a cache hit is
+//! byte-identical to a cold re-run of the same shard (pinned by
+//! `crates/sim/tests/cache_equiv.rs`).
 //!
 //! ## Record format
 //!
 //! The store is a directory of append-only `cache-<writer>.jsonl`
-//! segments reusing the schema-1 wire form and the torn-tail append rule
-//! from [`crate::session`] (DESIGN.md §7), with one addition: every
-//! record carries a checksum of its own body, so *any* corruption — a
-//! flipped bit, a truncated write, a fused line — is detected instead of
-//! served:
+//! segments, one per writer thread (DESIGN.md §7). Every record is a
+//! schema-1 report ([`crate::report_json`]) under its key, prefixed with
+//! a checksum of its own body, so *any* corruption — a flipped bit, a
+//! changed digit, a truncated write, a fused line — is detected instead
+//! of served:
 //!
 //! ```text
 //! {"check":"0x…","fingerprint":"0x…","seed":N,"label":"…","report":{"schema":1,…}}
@@ -26,23 +28,28 @@
 //!
 //! `check` is FNV-1a over the raw bytes between `"check":"…",` and the
 //! closing `}` — exactly the bytes that carry the record's meaning. A
-//! plain journal tolerates torn tails because they fail to *parse*; a
-//! shared cache must also survive records that still parse but no longer
-//! mean what was written (bit rot, partial overwrites). The checksum
-//! closes that gap.
+//! torn tail fails to *parse*; the checksum also rejects records that
+//! still parse but no longer mean what was written.
+//!
+//! Writers append and flush one record per shard, so a writer killed at
+//! any moment leaves at most one torn final line in its segment. Before
+//! its first append a writer truncates that torn tail (the
+//! append-after-tear rule, [`ResultCache::writer`]), so a fresh record
+//! never fuses with a half-line.
 //!
 //! ## Quarantine
 //!
 //! [`ResultCache::scan`] classifies every damaged line: a newline-less
 //! final line is a **torn tail** (the expected artifact of a killed
-//! writer — silently dropped, exactly like the journal), while any other
-//! unreadable or checksum-mismatched record is **quarantined**: logged
-//! once to `quarantine.jsonl` (with its segment, line number, reason and
-//! a hash of the raw bytes) and excluded from the scan. Either way the
-//! affected shard simply stops being cached and re-runs; the store never
-//! serves garbage. Corruption handling is pinned by the proptests in
+//! writer — silently dropped), while any other unreadable or
+//! checksum-mismatched record is **quarantined**: logged once to
+//! `quarantine.jsonl` (with its segment, line number, reason and a hash
+//! of the raw bytes) and excluded from the scan. Either way the affected
+//! shard simply stops being cached and re-runs; the store never serves
+//! garbage. Corruption handling is pinned by the proptests in
 //! `crates/sim/tests/cache_store.rs`.
 
+use std::fmt::Write as _;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -53,12 +60,106 @@ use peas_des::{DetMap, DetSet};
 
 use crate::config::ScenarioConfig;
 use crate::metrics::RunReport;
-use crate::report_json::{json_escape, parse_hex, parse_json, Json};
-use crate::runner::Runner;
-use crate::session::{
-    decode_record, enumerate_shards, fnv1a, open_segment_for_append, push_record_body,
-    record_len_hint, SessionError, Shard, ShardKey,
+use crate::report_json::{
+    encoded_len_hint, fill, json_escape, parse_hex, parse_json, push_escaped, push_report,
+    required, Json, Reader,
 };
+use crate::runner::Runner;
+
+/// FNV-1a offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// FNV-1a over an arbitrary byte string — the workspace's one
+/// non-cryptographic content hash, shared by [`config_fingerprint`] and
+/// the record checksums.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash = FNV_OFFSET;
+    for byte in bytes {
+        hash ^= u64::from(*byte);
+        hash = hash.wrapping_mul(FNV_PRIME);
+    }
+    hash
+}
+
+/// The content address of a sweep run: the fingerprint of its config
+/// (seed excluded) plus the seed. Two shards with equal keys are the same
+/// deterministic run and share one cache record.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct ShardKey {
+    /// [`config_fingerprint`] of the shard's config.
+    pub fingerprint: u64,
+    /// The run's master seed.
+    pub seed: u64,
+}
+
+/// One unit of sweep work: a fully-resolved config plus its stable
+/// position in the sweep enumeration.
+#[derive(Clone, Debug)]
+pub struct Shard {
+    /// Position in the sweep enumeration (also the merge order).
+    pub index: usize,
+    /// Human-readable label (carried into the record for debuggability).
+    pub label: String,
+    /// The fully-resolved configuration.
+    pub config: ScenarioConfig,
+    /// The content address.
+    pub key: ShardKey,
+}
+
+/// A stable fingerprint of a scenario config **excluding its seed** (the
+/// seed is tracked separately in the [`ShardKey`]). Computed as FNV-1a
+/// over the config's canonical debug rendering, so any parameter change —
+/// field size, ranges, rates, horizon — yields a new fingerprint and
+/// stale records simply stop matching (their shards re-run).
+pub fn config_fingerprint(config: &ScenarioConfig) -> u64 {
+    let canonical = format!("{:?}", config.clone().with_seed(0));
+    fnv1a(canonical.as_bytes())
+}
+
+/// Enumerates `(label, config)` runs as [`Shard`]s in input order — the
+/// one shard-numbering rule behind every [`SweepPlan`].
+pub fn enumerate_shards(runs: Vec<(String, ScenarioConfig)>) -> Vec<Shard> {
+    runs.into_iter()
+        .enumerate()
+        .map(|(index, (label, config))| {
+            let key = ShardKey {
+                fingerprint: config_fingerprint(&config),
+                seed: config.seed,
+            };
+            Shard {
+                index,
+                label,
+                config,
+                key,
+            }
+        })
+        .collect()
+}
+
+/// Why a plan could not be merged.
+#[derive(Debug)]
+pub enum SessionError {
+    /// Shards are still missing from the cache (their enumeration
+    /// indices, in order).
+    Incomplete {
+        /// Enumeration indices of the shards not yet cached.
+        missing: Vec<usize>,
+    },
+}
+
+impl std::fmt::Display for SessionError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SessionError::Incomplete { missing } => write!(
+                f,
+                "sweep incomplete: {} shard(s) not cached (indices {missing:?})",
+                missing.len()
+            ),
+        }
+    }
+}
 
 /// The leading frame of every cache record: `{"check":"0x` + 16 hex
 /// digits + `",` + body + `}`.
@@ -66,7 +167,50 @@ const CHECK_PREFIX: &str = "{\"check\":\"0x";
 /// Hex digits in the checksum field (`{:#018X}` minus the `0x` prefix).
 const CHECK_HEX_LEN: usize = 16;
 
-/// Renders one cache record (newline-terminated): the journal's schema-1
+/// A typical upper bound on the length of a record line.
+fn record_len_hint(label: &str, report: &RunReport) -> usize {
+    // Braces, keys, the `check` frame, a 0x-hex fingerprint and a seed.
+    128 + label.len() + encoded_len_hint(report)
+}
+
+/// Appends a record's fields without the braces —
+/// `"fingerprint":"0x…","seed":N,"label":"…","report":{…}` — to `out`:
+/// the body a cache line checksums.
+fn push_record_body(out: &mut String, key: ShardKey, label: &str, report: &RunReport) {
+    // Writing to a `String` cannot fail.
+    let _ = write!(
+        out,
+        "\"fingerprint\":\"{:#018X}\",\"seed\":{},\"label\":\"",
+        key.fingerprint, key.seed
+    );
+    push_escaped(out, label);
+    out.push_str("\",\"report\":");
+    push_report(out, report);
+}
+
+/// Decodes one checksum-verified record line in a single pass: the
+/// record object's `fingerprint`, `seed`, `label` and `report` fields, in
+/// any order, with any other key (the `check` frame) syntax-checked and
+/// skipped.
+fn decode_record(line: &str) -> Result<(ShardKey, String, RunReport), String> {
+    let mut reader = Reader::new(line);
+    let (mut fingerprint, mut seed, mut label, mut report) = (None, None, None, None);
+    reader.object(|r, key| match key {
+        "fingerprint" => fill(&mut fingerprint, || r.hex(key)),
+        "seed" => fill(&mut seed, || r.u64(key)),
+        "label" => fill(&mut label, || r.string().map(String::from)),
+        "report" => fill(&mut report, || r.report()),
+        _ => Ok(false),
+    })?;
+    reader.end()?;
+    let key = ShardKey {
+        fingerprint: required(fingerprint, "fingerprint")?,
+        seed: required(seed, "seed")?,
+    };
+    Ok((key, required(label, "label")?, required(report, "report")?))
+}
+
+/// Renders one cache record (newline-terminated): the schema-1 record
 /// body prefixed with a checksum over the body's exact bytes.
 pub fn encode_cache_line(key: ShardKey, label: &str, report: &RunReport) -> String {
     let digits = CHECK_PREFIX.len()..CHECK_PREFIX.len() + CHECK_HEX_LEN;
@@ -137,8 +281,8 @@ pub fn decode_cache_line(line: &str) -> CacheRecord {
         ));
     }
     // The checksum matched, so the body is exactly what a writer
-    // flushed; read the whole line in place with the journal's rules (the
-    // `check` field is one more key the record reader skips).
+    // flushed; read the whole line in place (the `check` field is one
+    // more key the record reader skips).
     match decode_record(line) {
         Ok((key, label, report)) => CacheRecord::Entry {
             key,
@@ -201,6 +345,11 @@ impl CacheScan {
 /// A directory-backed content-addressed store of completed
 /// `ShardKey → RunReport` entries. See the module docs for the record
 /// format and damage rules.
+///
+/// Writer slots number threads, not processes: two processes writing one
+/// directory would both append to `cache-0.jsonl` and could interleave
+/// bytes. One process writes a cache directory at a time; any number may
+/// read it.
 #[derive(Debug)]
 pub struct ResultCache {
     dir: PathBuf,
@@ -234,7 +383,7 @@ impl ResultCache {
     }
 
     /// Opens an append handle for writer slot `writer`, truncating any
-    /// torn tail first (the journal's append-after-tear rule).
+    /// torn tail first (the append-after-tear rule).
     ///
     /// # Errors
     ///
@@ -248,7 +397,7 @@ impl ResultCache {
     /// Scans every segment, verifying each record's checksum, and
     /// returns the store's verified contents. Damaged interior records
     /// are appended to the quarantine log (once per distinct raw line);
-    /// torn tails are skipped silently, exactly like the sweep journal.
+    /// torn tails are skipped silently.
     ///
     /// # Errors
     ///
@@ -448,10 +597,35 @@ impl CacheWriter {
     }
 }
 
+/// Opens a segment for appending, first truncating any torn
+/// (newline-less) tail a killed writer left behind. Appending directly
+/// after such a tail would fuse the new record onto the half-line,
+/// leaving *both* unreadable — the store would never converge for that
+/// shard. Dropping the tail loses nothing: a torn line was never a
+/// complete record, and its shard is exactly what the resume re-runs.
+fn open_segment_for_append(path: &Path) -> io::Result<fs::File> {
+    use std::io::{Read, Seek, SeekFrom};
+    let mut file = fs::OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(path)?;
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes)?;
+    let keep = bytes
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .map_or(0, |pos| pos + 1);
+    if keep < bytes.len() {
+        file.set_len(keep as u64)?;
+    }
+    file.seek(SeekFrom::Start(keep as u64))?;
+    Ok(file)
+}
+
 /// A sweep expanded against the cache: the full shard enumeration of a
 /// submission, with cache-aware views (novel shards, merged reports).
-/// Shard numbering is identical to [`crate::session::SweepSession`]'s —
-/// the two stores are interchangeable descriptions of the same runs.
 #[derive(Clone, Debug)]
 pub struct SweepPlan {
     shards: Vec<Shard>,
@@ -546,6 +720,16 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("peas-cache-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[test]
+    fn fingerprint_ignores_seed_but_not_parameters() {
+        let a = tiny(1);
+        let b = tiny(2);
+        assert_eq!(config_fingerprint(&a), config_fingerprint(&b));
+        let mut c = tiny(1);
+        c.node_count = 26;
+        assert_ne!(config_fingerprint(&a), config_fingerprint(&c));
     }
 
     #[test]

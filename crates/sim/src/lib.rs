@@ -36,18 +36,17 @@ pub mod job;
 pub mod metrics;
 pub mod report_json;
 pub mod runner;
-pub mod session;
 pub mod trace;
 pub mod world;
 
-pub use cache::{CacheRecord, CacheScan, CacheWriter, ResultCache, SweepPlan};
+pub use cache::{
+    config_fingerprint, enumerate_shards, fnv1a, CacheRecord, CacheScan, CacheWriter, ResultCache,
+    SessionError, Shard, ShardKey, SweepPlan,
+};
 pub use config::{BatterySpec, EventWorkload, FailureConfig, MetricsConfig, ScenarioConfig};
 pub use job::{JobOutcome, JobProgress, JobSource, JobSpec, JOB_SCHEMA};
 pub use metrics::{RunReport, Sample};
 pub use report_json::{decode_report, encode_report, REPORT_SCHEMA};
 pub use runner::{average_metric, AveragedPoint, Runner};
-pub use session::{
-    config_fingerprint, enumerate_shards, fnv1a, SessionError, Shard, ShardKey, SweepSession,
-};
 pub use trace::{DeathKind, FrameKind, TraceCounts, TraceEvent, TraceSink};
 pub use world::World;

@@ -1,6 +1,5 @@
 //! The versioned, stable serialized form of a [`RunReport`]
-//! (`schema = 1`), shared by the sweep checkpoint journal
-//! ([`crate::session`]), the result cache ([`crate::cache`]) and the
+//! (`schema = 1`), shared by the result cache ([`crate::cache`]) and the
 //! `peas-bench` drivers.
 //!
 //! The encoding is one JSON object per report with a pinned key set and

@@ -18,8 +18,8 @@ use crate::world::World;
 /// The job list is always expanded eagerly and executed in a deterministic
 /// order: [`Runner::run`] returns reports in *job order* no matter which
 /// worker finished first, so downstream consumers (sweep points, golden
-/// fingerprints, the [`crate::session::SweepSession`] journal) can index
-/// results positionally.
+/// fingerprints, a merged [`crate::cache::SweepPlan`]) can index results
+/// positionally.
 ///
 /// ```
 /// use peas_sim::{Runner, ScenarioConfig};
@@ -287,7 +287,7 @@ mod tests {
     /// Regression test for result ordering under adversarial completion
     /// order: the first job is much heavier than the rest, so with 2+
     /// workers every later job *completes* before job 0 does. The returned
-    /// reports must still be in input order (the sweep journal replays
+    /// reports must still be in input order (a merged sweep plan reads
     /// reports positionally).
     #[test]
     fn job_order_preserved_when_completion_order_differs() {

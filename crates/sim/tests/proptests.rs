@@ -1,9 +1,6 @@
 //! Property-based tests over whole simulation runs: for arbitrary small
 //! scenarios, the run must satisfy the system invariants.
 
-use std::path::PathBuf;
-use std::sync::OnceLock;
-
 use proptest::prelude::*;
 
 use peas::NodeStats;
@@ -12,7 +9,7 @@ use peas_radio::{EnergyCause, EnergyLedger, MediumStats};
 use peas_sim::report_json::parse_json;
 use peas_sim::{
     decode_report, encode_report, BatterySpec, FailureConfig, RunReport, Runner, Sample,
-    ScenarioConfig, SweepSession,
+    ScenarioConfig,
 };
 
 fn arb_scenario() -> impl Strategy<Value = ScenarioConfig> {
@@ -101,39 +98,6 @@ proptest! {
         let ratio = report.overhead_ratio();
         prop_assert!((0.0..=1.0).contains(&ratio), "ratio {ratio}");
         prop_assert!(report.overhead_j() <= report.ledger.total_j() + 1e-9);
-    }
-
-    /// Journal appender/reader round-trip under arbitrary torn tails: a
-    /// segment truncated at ANY byte offset inside its final record must
-    /// resume — appending onto the torn segment itself — to a merged
-    /// journal byte-identical to an uninterrupted run.
-    #[test]
-    fn torn_tail_resume_round_trips(offset_raw in any::<u64>()) {
-        let p = pristine_journal();
-        // Tear anywhere in the final record: keep 0..=len bytes of it
-        // (0 = clean tear at the newline, len = untorn segment).
-        let tail_len = p.segment.len() - p.tail_start;
-        let keep = p.tail_start + (offset_raw % (tail_len as u64 + 1)) as usize;
-
-        let dir: PathBuf = std::env::temp_dir().join(format!(
-            "peas-torn-prop-{}-{keep}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create journal dir");
-        std::fs::write(dir.join("worker-0.jsonl"), &p.segment[..keep]).expect("seed segment");
-
-        let session = SweepSession::create(&dir, torn_tail_runs()).expect("open session");
-        session.run_worker(0, 1, None).expect("resume");
-        prop_assert_eq!(session.pending().expect("pending"), Vec::<usize>::new());
-        let merged: Vec<String> = session
-            .merged()
-            .expect("complete")
-            .iter()
-            .map(encode_report)
-            .collect();
-        prop_assert_eq!(&merged, &p.reference, "tear at byte {} of the final record", keep - p.tail_start);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -275,54 +239,4 @@ proptest! {
             let _ = encode_report(&decoded);
         }
     }
-}
-
-/// The two-shard run list behind the torn-tail property.
-fn torn_tail_runs() -> Vec<(String, ScenarioConfig)> {
-    let tiny = |seed: u64| {
-        let mut c = ScenarioConfig::small().with_seed(seed);
-        c.node_count = 25;
-        c.horizon = SimTime::from_secs(300);
-        c
-    };
-    vec![("s1".to_string(), tiny(1)), ("s2".to_string(), tiny(2))]
-}
-
-/// A pristine two-record journal segment plus the uninterrupted
-/// reference reports, computed once per test process.
-struct PristineJournal {
-    /// The untorn `worker-0.jsonl` bytes (two complete records).
-    segment: Vec<u8>,
-    /// Byte offset where the final record starts (after the first `\n`).
-    tail_start: usize,
-    /// The uninterrupted run's reports in schema-1 serialized form.
-    reference: Vec<String>,
-}
-
-fn pristine_journal() -> &'static PristineJournal {
-    static PRISTINE: OnceLock<PristineJournal> = OnceLock::new();
-    PRISTINE.get_or_init(|| {
-        let runs = torn_tail_runs();
-        let reference: Vec<String> = Runner::configs(runs.iter().map(|(_, c)| c.clone()).collect())
-            .run()
-            .iter()
-            .map(encode_report)
-            .collect();
-        let dir = std::env::temp_dir().join(format!("peas-torn-pristine-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let session = SweepSession::create(&dir, runs).expect("create session");
-        session.run_worker(0, 1, None).expect("fill journal");
-        let segment = std::fs::read(session.segment_path(0)).expect("read segment");
-        let _ = std::fs::remove_dir_all(&dir);
-        let tail_start = segment
-            .iter()
-            .position(|&b| b == b'\n')
-            .expect("two records")
-            + 1;
-        PristineJournal {
-            segment,
-            tail_start,
-            reference,
-        }
-    })
 }

@@ -1,9 +1,9 @@
 //! Contract test for the versioned `RunReport` wire form (`schema = 1`).
 //!
-//! The sweep checkpoint journal and `scenario run --json` both persist
-//! reports in this form, so its key names and their order are a
-//! compatibility contract: a rename or reorder silently invalidates
-//! every journal on disk. This test pins the exact key sequence — if it
+//! The result cache and `scenario run --json` both persist reports in
+//! this form, so its key names and their order are a compatibility
+//! contract: a rename or reorder silently invalidates every cache on
+//! disk. This test pins the exact key sequence — if it
 //! fails, either revert the serializer change or bump
 //! [`peas_sim::REPORT_SCHEMA`] and teach the decoder both versions.
 
@@ -22,7 +22,7 @@ fn sample_report() -> peas_sim::RunReport {
 }
 
 /// Every `"key":` occurrence in encoding order. Object nesting does not
-/// matter for the contract — a journal written by one build must decode
+/// matter for the contract — a cache written by one build must decode
 /// in the next, which requires the flat key stream to be stable.
 fn key_stream(encoded: &str) -> Vec<String> {
     let mut keys = Vec::new();
