@@ -19,7 +19,7 @@ pub const LIFETIME_THRESHOLD: f64 = 0.9;
 /// Scale and seed options for the experiments.
 #[derive(Clone, Debug)]
 pub struct ExperimentOpts {
-    /// Reduced sweeps for fast runs (benches, CI).
+    /// Reduced sweeps for fast runs (`paper --quick`, tests).
     pub quick: bool,
     /// Seeds per sweep point.
     pub seeds: Vec<u64>,

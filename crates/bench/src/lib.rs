@@ -3,8 +3,8 @@
 //! Regenerates every table and figure of the PEAS (ICDCS 2003) evaluation,
 //! plus the analytical results and the ablations DESIGN.md calls out. Each
 //! experiment in [`experiments`] returns a formatted, paper-style text
-//! block; the `paper` binary prints them, and the Criterion benches run
-//! scaled-down versions so `cargo bench` exercises every figure.
+//! block; the `paper` binary prints them (`--quick` runs scaled-down
+//! sweeps), and the module's unit tests render every figure formatter.
 //!
 //! | Experiment | Paper artifact |
 //! |------------|----------------|

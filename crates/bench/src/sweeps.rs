@@ -88,7 +88,7 @@ pub const PAPER_FAILURE_RATES: [f64; 9] =
 /// The paper's seed count per point.
 pub const PAPER_SEEDS: [u64; 5] = [101, 102, 103, 104, 105];
 
-/// A reduced sweep for `--quick` runs and Criterion benches.
+/// A reduced sweep for `--quick` runs.
 pub const QUICK_NODE_COUNTS: [usize; 3] = [160, 320, 480];
 /// Reduced failure rates for `--quick`.
 pub const QUICK_FAILURE_RATES: [f64; 3] = [5.33, 26.66, 48.0];

@@ -2,7 +2,7 @@
 //!
 //! A binary heap spends O(log n) cache-missing sifts on every operation
 //! once the pending set holds hundreds of thousands of timers (the 1M-node
-//! worlds of `BENCH_scale.json`). The classic DES answer (Tang & Goh's
+//! worlds of `scenarios/scale-1m.peas`). The classic DES answer (Tang & Goh's
 //! ladder queue, the calendar-queue lineage behind ns-3-class simulators)
 //! is to bucket events by time and only ever *sort* a small tail:
 //!

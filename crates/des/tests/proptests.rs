@@ -231,13 +231,19 @@ proptest! {
     }
 }
 
-/// A deterministic heavyweight differential run: simulates a timer-heavy
-/// workload (exponential reschedules, frequent cancels) at a depth the
-/// proptest's short op sequences never reach, so rung spawning and the
-/// top-flush path are both exercised against the reference.
+/// A deterministic heavyweight differential run: timer-heavy workloads at
+/// depths the proptest's short op sequences never reach, so rung spawning
+/// and the top-flush path are both exercised against the reference. Two
+/// inputs, each compared as the full `(time, payload)` pop stream:
+///
+/// * **churn** — 50k timers over about an hour, rescheduled ahead of each
+///   pop, with a random live id cancelled every third step;
+/// * **hold** — the classic hold model at 1k and 10k pending: fill
+///   uniformly over 20 s, pop and reschedule 100k times, schedule a fresh
+///   third on top and cancel all of it, then drain.
 #[test]
 fn ladder_matches_heap_on_deep_timer_workload() {
-    fn drive<C: QueueCore<u32> + Default>() -> Vec<(u64, u64)> {
+    fn churn<C: QueueCore<u32> + Default>() -> Vec<(u64, u64)> {
         let mut q: EventQueue<u32, C> = EventQueue::new();
         let mut rng = SimRng::new(0xD1FF);
         let mut live = Vec::new();
@@ -264,10 +270,44 @@ fn ladder_matches_heap_on_deep_timer_workload() {
         }
         out
     }
-    let heap = drive::<peas_des::heap_ref::HeapCore<u32>>();
-    let ladder = drive::<peas_des::ladder::LadderCore<u32>>();
+    fn hold<C: QueueCore<u32> + Default>(size: u32) -> Vec<(u64, u64)> {
+        const SPAN: SimDuration = SimDuration::from_secs(20);
+        let mut q: EventQueue<u32, C> = EventQueue::new();
+        let mut rng = SimRng::stream(0xBEE5, u64::from(size));
+        for i in 0..size {
+            let at = SimTime::ZERO + rng.range_duration(SimDuration::ZERO, SPAN);
+            q.schedule(at, i);
+        }
+        let mut out = Vec::new();
+        for i in 0..100_000u32 {
+            let f = q.pop().expect("the hold model never empties the queue");
+            out.push((f.time.as_nanos(), f.payload as u64));
+            let ahead = SimDuration::from_nanos(1 + rng.below(SPAN.as_nanos()));
+            q.schedule(f.time + ahead, i);
+        }
+        let base = q.peek_time().unwrap_or(SimTime::ZERO);
+        let fresh: Vec<_> = (0..size / 3)
+            .map(|i| q.schedule(base + rng.range_duration(SimDuration::ZERO, SPAN), i))
+            .collect();
+        for id in fresh {
+            assert!(q.cancel(id), "a freshly scheduled id must be live");
+        }
+        let held = out.len();
+        while let Some(f) = q.pop() {
+            out.push((f.time.as_nanos(), f.payload as u64));
+        }
+        assert_eq!(out.len() - held, size as usize, "the live count survives");
+        out
+    }
+    let heap = churn::<peas_des::heap_ref::HeapCore<u32>>();
+    let ladder = churn::<peas_des::ladder::LadderCore<u32>>();
     assert_eq!(heap.len(), ladder.len());
     assert_eq!(heap, ladder);
+    for size in [1_000, 10_000] {
+        let heap = hold::<peas_des::heap_ref::HeapCore<u32>>(size);
+        let ladder = hold::<peas_des::ladder::LadderCore<u32>>(size);
+        assert_eq!(heap, ladder, "hold model at {size} pending");
+    }
 }
 
 /// The pinned type aliases resolve to distinct backends even when the
