@@ -8,9 +8,9 @@
 //!   fig12 fig13 fig14          failure-rate sweep artifacts
 //!   sweep-n                    fig9 + fig10 + fig11 + table1 from one sweep
 //!   sweep-f                    fig12 + fig13 + fig14 from one sweep
-//!   kaccuracy adaptive gaps connectivity loss turnoff deployment irregular events baselines
+//!   kaccuracy adaptive gaps connectivity loss turnoff deployment irregular events
+//!   rp lambdad baselines
 //!   all                        everything above
-//!   smoke [n] [seed]           one summarized run
 //! ```
 //!
 //! `--quick` shrinks the sweeps (3 deployment points, 3 failure rates,
@@ -21,43 +21,44 @@ use std::env;
 use std::process::ExitCode;
 
 use peas_bench::experiments::{self, ExperimentOpts};
+use peas_bench::Cli;
+
+const CLI: Cli = Cli {
+    usage: "usage: paper <command> [--quick] [--seeds a,b,c]\n\
+            commands: fig9 fig10 fig11 table1 fig12 fig13 fig14 sweep-n sweep-f kaccuracy \
+            adaptive gaps connectivity loss turnoff deployment irregular events rp lambdad \
+            baselines all",
+    values: &["--seeds"],
+    switches: &["--quick", "--help", "-h"],
+};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = env::args().skip(1).collect();
-    if args.is_empty() {
-        eprintln!("usage: paper <command> [--quick] [--seeds a,b,c]; see --help");
-        return ExitCode::FAILURE;
-    }
-    if args[0] == "--help" || args[0] == "-h" {
-        println!(
-            "commands: fig9 fig10 fig11 table1 fig12 fig13 fig14 sweep-n sweep-f \
-             kaccuracy adaptive gaps connectivity loss turnoff deployment irregular events rp lambdad baselines all smoke"
-        );
+    let raw: Vec<String> = env::args().skip(1).collect();
+    let args = match CLI.parse(&raw) {
+        Ok(args) => args,
+        Err(code) => return code,
+    };
+    if args.has("help") || args.has("h") {
+        println!("{}", CLI.usage);
         return ExitCode::SUCCESS;
     }
-
-    let command = args[0].as_str();
-    let quick = args.iter().any(|a| a == "--quick");
-    let mut opts = if quick {
+    let [command] = &args.positional[..] else {
+        return CLI.usage_error("expected one command");
+    };
+    let command = command.as_str();
+    let mut opts = if args.has("quick") {
         ExperimentOpts::quick()
     } else {
         ExperimentOpts::full()
     };
-    if let Some(pos) = args.iter().position(|a| a == "--seeds") {
-        let Some(list) = args.get(pos + 1) else {
-            eprintln!("--seeds requires a comma-separated list");
-            return ExitCode::FAILURE;
-        };
+    if let Some(list) = args.get("seeds") {
         match list
             .split(',')
             .map(str::parse)
             .collect::<Result<Vec<u64>, _>>()
         {
             Ok(seeds) if !seeds.is_empty() => opts.seeds = seeds,
-            _ => {
-                eprintln!("--seeds requires a comma-separated list of integers");
-                return ExitCode::FAILURE;
-            }
+            _ => return CLI.usage_error("--seeds needs a comma-separated list of integers"),
         }
     }
 
@@ -101,11 +102,6 @@ fn main() -> ExitCode {
         "lambdad" => print!("{}", experiments::lambdad_sweep(&opts)),
         "turnoff" => print!("{}", experiments::turnoff(&opts)),
         "baselines" => print!("{}", experiments::baselines(&opts)),
-        "smoke" => {
-            let n = args.get(1).and_then(|a| a.parse().ok()).unwrap_or(160usize);
-            let seed = args.get(2).and_then(|a| a.parse().ok()).unwrap_or(1u64);
-            print!("{}", experiments::smoke(n, seed));
-        }
         "all" => {
             let points_n = opts.run_deployment_sweep();
             print!(
@@ -138,10 +134,7 @@ fn main() -> ExitCode {
             println!("{}", experiments::rp_sweep(&opts));
             println!("{}", experiments::lambdad_sweep(&opts));
         }
-        other => {
-            eprintln!("unknown command {other:?}; see --help");
-            return ExitCode::FAILURE;
-        }
+        other => return CLI.usage_error(&format!("unknown command `{other}`")),
     }
     eprintln!("[paper] {command} finished in {:.1?}", t0.elapsed());
     ExitCode::SUCCESS

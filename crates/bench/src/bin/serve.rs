@@ -58,7 +58,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 
-use peas_bench::{run_plan, Args};
+use peas_bench::{corpus_dir, run_plan, Args, Cli};
 use peas_scenario::compile_job;
 use peas_sim::job::{
     decode_job, decode_outcome, decode_progress, encode_outcome, encode_progress, JobOutcome,
@@ -66,14 +66,20 @@ use peas_sim::job::{
 };
 use peas_sim::{encode_report, fnv1a, ResultCache, SweepPlan};
 
-const VALUE_FLAGS: &[&str] = &[
-    "--spool",
-    "--cache",
-    "--scenarios",
-    "--workers",
-    "--poll-ms",
-    "--kill-after",
-];
+const CLI: Cli = Cli {
+    usage: "usage: serve <run|submit|status|drain|shutdown> [arguments] --spool DIR [options]\n\
+            (e.g. `serve run --spool target/spool --cache target/cache --drain`; \
+            see the module docs in crates/bench/src/bin/serve.rs)",
+    values: &[
+        "--spool",
+        "--cache",
+        "--scenarios",
+        "--workers",
+        "--poll-ms",
+        "--kill-after",
+    ],
+    switches: &["--drain"],
+};
 
 /// The spool directory family. Every accessor creates on first use.
 struct Spool {
@@ -156,11 +162,6 @@ fn write_atomic(path: &Path, contents: &str) -> Result<(), String> {
     fs::rename(&tmp, path).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// Default scenario corpus: the workspace `scenarios/` directory.
-fn default_scenarios_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
-}
-
 // ---------------------------------------------------------------------------
 // serve run
 // ---------------------------------------------------------------------------
@@ -180,9 +181,7 @@ struct ServiceConfig {
 fn cmd_run(args: &Args) -> Result<(), String> {
     let spool = Spool::open(args.dir("spool")?)?;
     let cache = ResultCache::open(args.dir("cache")?).map_err(|e| format!("--cache: {e}"))?;
-    let scenarios = args
-        .get("scenarios")
-        .map_or_else(default_scenarios_dir, PathBuf::from);
+    let scenarios = args.get("scenarios").map_or_else(corpus_dir, PathBuf::from);
     let mut service = ServiceConfig {
         spool,
         cache,
@@ -452,20 +451,12 @@ fn cmd_control(args: &Args, what: &str) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let raw: Vec<String> = env::args().skip(1).collect();
-    let args = match Args::parse(&raw, VALUE_FLAGS) {
+    let args = match CLI.parse(&raw) {
         Ok(args) => args,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
+        Err(code) => return code,
     };
     let Some(command) = args.positional.first() else {
-        eprintln!(
-            "usage: serve <run|submit|status|drain|shutdown> [arguments] --spool DIR [options]\n\
-             (e.g. `serve run --spool target/spool --cache target/cache --drain`; \
-             see the module docs in crates/bench/src/bin/serve.rs)"
-        );
-        return ExitCode::from(2);
+        return CLI.usage_error("missing command");
     };
     let result = match command.as_str() {
         "run" => cmd_run(&args),
@@ -473,9 +464,7 @@ fn main() -> ExitCode {
         "status" => cmd_status(&args),
         "drain" => cmd_control(&args, "drain"),
         "shutdown" => cmd_control(&args, "shutdown"),
-        other => Err(format!(
-            "unknown command `{other}`; expected run, submit, status, drain or shutdown"
-        )),
+        other => return CLI.usage_error(&format!("unknown command `{other}`")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

@@ -31,14 +31,19 @@
 //! `crates/bench/tests/serve_smoke.rs`).
 
 use std::env;
-use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use peas_bench::{run_plan, Args};
+use peas_bench::{run_plan, scenario_path, Args, Cli};
 use peas_scenario::{load_compiled, sample_fingerprint};
 use peas_sim::{encode_report, fnv1a, ResultCache, RunReport, SessionError, SweepPlan};
 
-const VALUE_FLAGS: &[&str] = &["--cache", "--workers", "--kill-after", "--against"];
+const CLI: Cli = Cli {
+    usage: "usage: sweep <run|status|verify> <name|path.peas> --cache DIR [options]\n\
+            (e.g. `sweep run sweep-smoke --cache target/sweep --workers 2`; \
+            see the module docs in crates/bench/src/bin/sweep.rs)",
+    values: &["--cache", "--workers", "--kill-after", "--against"],
+    switches: &["--resume"],
+};
 
 /// FNV-1a over the concatenated per-run fingerprint renderings: one
 /// number that pins the whole merged sweep.
@@ -50,20 +55,9 @@ fn sweep_fingerprint(reports: &[RunReport]) -> u64 {
     fnv1a(renderings.as_bytes())
 }
 
-/// Resolves `<scenario>` to a `.peas` path: a path is used as-is, a bare
-/// stem resolves into the workspace `scenarios/` corpus.
-fn scenario_path(arg: &str) -> PathBuf {
-    let direct = Path::new(arg);
-    if direct.extension().is_some_and(|ext| ext == "peas") {
-        return direct.to_path_buf();
-    }
-    Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("../../scenarios/{arg}.peas"))
-}
-
 /// Loads `<scenario>` and expands its sweep: the scenario's name and plan.
 fn load_plan(arg: &str) -> Result<(String, SweepPlan), String> {
-    let path = scenario_path(arg);
-    let scenario = load_compiled(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let scenario = load_compiled(&scenario_path(arg)).map_err(|e| e.to_string())?;
     let runs = scenario
         .runs()
         .into_iter()
@@ -175,28 +169,18 @@ fn cmd_verify(scenario_arg: &str, args: &Args) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let raw: Vec<String> = env::args().skip(1).collect();
-    let args = match Args::parse(&raw, VALUE_FLAGS) {
+    let args = match CLI.parse(&raw) {
         Ok(args) => args,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
+        Err(code) => return code,
     };
     let [command, scenario_arg] = &args.positional[..] else {
-        eprintln!(
-            "usage: sweep <run|status|verify> <scenario> --cache DIR [options]\n\
-             (e.g. `sweep run sweep-smoke --cache target/sweep --workers 2`; \
-             see the module docs in crates/bench/src/bin/sweep.rs)"
-        );
-        return ExitCode::from(2);
+        return CLI.usage_error("expected a command and a scenario");
     };
     let result = match command.as_str() {
         "run" => cmd_run(scenario_arg, &args),
         "status" => cmd_status(scenario_arg, &args),
         "verify" => cmd_verify(scenario_arg, &args),
-        other => Err(format!(
-            "unknown command `{other}`; expected run, status or verify"
-        )),
+        other => return CLI.usage_error(&format!("unknown command `{other}`")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

@@ -721,24 +721,6 @@ pub fn lambdad_sweep(opts: &ExperimentOpts) -> String {
     out
 }
 
-/// Convenience: run one paper-scale scenario and summarize it (used by the
-/// quickstart-style smoke command).
-pub fn smoke(n: usize, seed: u64) -> String {
-    let report = Runner::new(ScenarioConfig::paper(n).with_seed(seed)).run_single();
-    format!(
-        "N={n} seed={seed}: end={:.0}s wakeups={} cov4-lifetime={:.0}s delivery-lifetime={:.0}s \
-         overhead={:.2}J ({:.3}%) failures={} energy-deaths={}\n",
-        report.end_secs,
-        report.total_wakeups(),
-        report.coverage_lifetime(4, LIFETIME_THRESHOLD),
-        report.delivery_lifetime(LIFETIME_THRESHOLD),
-        report.overhead_j(),
-        report.overhead_ratio() * 100.0,
-        report.failures_injected,
-        report.energy_deaths
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -795,13 +777,5 @@ mod tests {
         ] {
             assert!(block.lines().count() >= 3, "short block: {block}");
         }
-    }
-
-    #[test]
-    fn smoke_summarizes_a_run() {
-        // Use a small n so the test stays fast.
-        let line = smoke(60, 3);
-        assert!(line.contains("N=60"));
-        assert!(line.contains("wakeups="));
     }
 }

@@ -23,9 +23,10 @@
 //! | [`experiments::turnoff`]   | §4 — working-node turn-off ablation |
 //! | [`experiments::baselines`] | §§1/6 — PEAS vs always-on / synchronized / GAF |
 //!
-//! It also holds what the `sweep` and `serve` bins share: the plan loop
-//! over the result cache ([`run_plan`], with the `--kill-after` fault
-//! injection) and the flag parser ([`Args`]).
+//! It also holds what the bins share: the flag parser ([`Cli`]), the
+//! `<name|path.peas>` scenario resolver ([`scenario_path`]), and the plan
+//! loop over the result cache ([`run_plan`], with the `--kill-after`
+//! fault injection) behind `sweep` and `serve`.
 
 pub mod experiments;
 pub mod model_gate;
@@ -33,42 +34,49 @@ pub mod sweeps;
 
 pub use experiments::ExperimentOpts;
 
-use std::path::PathBuf;
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Command, ExitCode};
 use std::str::FromStr;
 use std::time::Duration;
 
 use peas_sim::{ResultCache, RunReport, SessionError, Shard, SweepPlan};
 
-/// Minimal flag parser shared by the `sweep` and `serve` bins: positional
-/// arguments, `--key value` pairs and boolean `--key` flags.
-pub struct Args {
-    /// The arguments that are not flags, in order.
-    pub positional: Vec<String>,
-    flags: Vec<(String, Option<String>)>,
+/// A bin's command line: the usage text printed with every usage error,
+/// and the flags the bin declares. Any other argument that starts with
+/// `-` is a usage error.
+pub struct Cli {
+    /// The bin's usage text.
+    pub usage: &'static str,
+    /// Declared flags that take the next argument as their value, with
+    /// their dashes.
+    pub values: &'static [&'static str],
+    /// Declared flags that take no value, with their dashes.
+    pub switches: &'static [&'static str],
 }
 
-impl Args {
-    /// Parses `raw`; each flag named in `value_flags` (with its dashes)
-    /// takes the next argument as its value.
+impl Cli {
+    /// Parses `raw`, the arguments after the program name.
     ///
     /// # Errors
     ///
-    /// A value flag at the end of `raw`.
-    pub fn parse(raw: &[String], value_flags: &[&str]) -> Result<Args, String> {
+    /// An undeclared flag, or a value flag at the end of `raw`: the
+    /// error and the usage are printed to stderr, and the exit code of a
+    /// usage error is returned.
+    pub fn parse(&self, raw: &[String]) -> Result<Args, ExitCode> {
         let mut positional = Vec::new();
         let mut flags = Vec::new();
         let mut iter = raw.iter();
         while let Some(arg) = iter.next() {
-            if let Some(flag) = arg.strip_prefix("--") {
-                if value_flags.contains(&arg.as_str()) {
-                    let value = iter
-                        .next()
-                        .ok_or_else(|| format!("--{flag} needs a value"))?;
-                    flags.push((flag.to_string(), Some(value.clone())));
-                } else {
-                    flags.push((flag.to_string(), None));
-                }
+            let name = arg.trim_start_matches('-').to_string();
+            if self.values.contains(&arg.as_str()) {
+                let Some(value) = iter.next() else {
+                    return Err(self.usage_error(&format!("{arg} needs a value")));
+                };
+                flags.push((name, Some(value.clone())));
+            } else if self.switches.contains(&arg.as_str()) {
+                flags.push((name, None));
+            } else if arg.len() > 1 && arg.starts_with('-') {
+                return Err(self.usage_error(&format!("unknown flag `{arg}`")));
             } else {
                 positional.push(arg.clone());
             }
@@ -76,6 +84,23 @@ impl Args {
         Ok(Args { positional, flags })
     }
 
+    /// Prints `msg` and the usage to stderr and returns exit code 2, the
+    /// code of every usage error.
+    pub fn usage_error(&self, msg: &str) -> ExitCode {
+        eprintln!("error: {msg}\n{}", self.usage);
+        ExitCode::from(2)
+    }
+}
+
+/// A parsed command line: positional arguments in order, and the
+/// declared flags that were given.
+pub struct Args {
+    /// The arguments that are not flags, in order.
+    pub positional: Vec<String>,
+    flags: Vec<(String, Option<String>)>,
+}
+
+impl Args {
     /// The value of `--flag`, if given.
     pub fn get(&self, flag: &str) -> Option<&str> {
         self.flags
@@ -125,6 +150,23 @@ impl Args {
             0 => Err("--workers must be at least 1".to_string()),
             n => Ok(n),
         }
+    }
+}
+
+/// The workspace's scenario corpus, anchored at the workspace root so
+/// the bins work from any directory.
+pub fn corpus_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
+}
+
+/// Resolves a `<name|path.peas>` argument to a scenario file: an
+/// argument ending in `.peas` is a path, anything else the stem of a
+/// corpus file.
+pub fn scenario_path(arg: &str) -> PathBuf {
+    if Path::new(arg).extension().is_some_and(|ext| ext == "peas") {
+        PathBuf::from(arg)
+    } else {
+        corpus_dir().join(format!("{arg}.peas"))
     }
 }
 

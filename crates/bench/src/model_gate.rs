@@ -1,14 +1,14 @@
 //! Bridges `.peas` scenarios with a `[model]` section to the
 //! `peas-model` explorer: spec → config conversion and golden-style
 //! snapshots of exploration and trace-replay outcomes, so the scenario
-//! driver's `fingerprint`/`check`/`bless` pipeline covers model runs
-//! with the same machinery it uses for simulations.
+//! driver's `run`/`fingerprint`/`check`/`bless` pipeline covers model
+//! runs with the same machinery it uses for simulations.
 //!
 //! Living here (not in `peas-model`) keeps the model crate free of the
 //! scenario-language dependency — it stays a pure library over
 //! `PeasNode`.
 
-use peas_model::{explore, replay, ModelCfg, ModelEvent, Topology, Violation};
+use peas_model::{explore, replay, FoundViolation, ModelCfg, ModelEvent, Topology, Violation};
 use peas_scenario::{CompiledScenario, ModelSpec, ModelTopology, Snapshot, TraceSpec};
 
 /// Converts a compiled `[model]` section plus the scenario's `[peas]`
@@ -44,6 +44,18 @@ pub fn parse_trace(spec: &TraceSpec) -> Result<Vec<ModelEvent>, String> {
 ///
 /// Returns a description of a malformed `[trace]` event line.
 pub fn model_snapshot(scenario: &CompiledScenario) -> Result<Snapshot, String> {
+    model_run(scenario).map(|(snapshot, _)| snapshot)
+}
+
+/// Runs a model scenario: its [`model_snapshot`], plus the violation an
+/// exploration found, with the event trace that reaches it.
+///
+/// # Errors
+///
+/// Returns a description of a malformed `[trace]` event line.
+pub fn model_run(
+    scenario: &CompiledScenario,
+) -> Result<(Snapshot, Option<FoundViolation>), String> {
     let spec = scenario
         .model
         .as_ref()
@@ -51,6 +63,7 @@ pub fn model_snapshot(scenario: &CompiledScenario) -> Result<Snapshot, String> {
     let cfg = model_cfg(spec, scenario);
     let mut fields: Vec<(String, String)> = Vec::new();
     let mut push = |key: &str, value: String| fields.push((key.to_string(), value));
+    let mut found = None;
 
     if let Some(trace_spec) = &scenario.trace {
         let trace = parse_trace(trace_spec)?;
@@ -89,8 +102,9 @@ pub fn model_snapshot(scenario: &CompiledScenario) -> Result<Snapshot, String> {
             "violation",
             rule_of(outcome.violation.as_ref().map(|f| &f.violation)),
         );
+        found = outcome.violation;
     }
-    Ok(Snapshot { fields })
+    Ok((Snapshot { fields }, found))
 }
 
 /// The expected-violation rule of a scenario (`"none"` when the

@@ -18,7 +18,9 @@
 //!   `u32` handles so heap entries stay small;
 //! * [`detmap`] — [`DetMap`]/[`DetSet`], deterministic-iteration
 //!   replacements for the banned `std` hash collections (`peas-lint`
-//!   rule `d1-std-hash`).
+//!   rule `d1-std-hash`);
+//! * [`fnv`] — [`fnv1a`], the content hash behind every pinned
+//!   fingerprint.
 //!
 //! # Example: a minimal wake/sleep process
 //!
@@ -49,6 +51,7 @@
 pub mod arena;
 pub mod detmap;
 pub mod event;
+pub mod fnv;
 pub mod heap_ref;
 pub mod ladder;
 pub mod rng;
@@ -58,6 +61,7 @@ pub mod time;
 pub use arena::Arena;
 pub use detmap::{DetMap, DetSet};
 pub use event::{EventId, EventQueue, Fired, HeapEventQueue, LadderEventQueue, QueueCore};
+pub use fnv::{fnv1a, fnv1a_extend, FNV1A_OFFSET};
 pub use rng::SimRng;
 pub use sim::Simulator;
 pub use time::{SimDuration, SimTime};

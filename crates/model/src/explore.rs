@@ -5,6 +5,7 @@ use std::collections::VecDeque;
 
 use peas::Mode;
 use peas_des::detmap::DetMap;
+use peas_des::{fnv1a_extend, FNV1A_OFFSET};
 
 use crate::canon::canon_key;
 use crate::cfg::ModelCfg;
@@ -63,17 +64,11 @@ pub struct ReplayOutcome {
     pub final_state_hash: u64,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_fold(mut hash: u64, key: &[i64]) -> u64 {
-    for value in key {
-        for byte in value.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-    }
-    hash
+/// Folds a canonical key into the running FNV-1a hash, each value as
+/// its little-endian bytes.
+fn fnv_fold(hash: u64, key: &[i64]) -> u64 {
+    key.iter()
+        .fold(hash, |hash, value| fnv1a_extend(hash, &value.to_le_bytes()))
 }
 
 /// Explores the full quotient breadth-first from the initial state.
@@ -96,7 +91,7 @@ pub fn explore(cfg: &ModelCfg) -> ExploreOutcome {
         max_depth: 0,
         duplicate_working_states: 0,
         coverage_hole_states: 0,
-        canon_hash: FNV_OFFSET,
+        canon_hash: FNV1A_OFFSET,
         violation: None,
     };
     let root_key = canon_key(&root);
@@ -286,7 +281,7 @@ pub fn replay(cfg: &ModelCfg, trace: &[ModelEvent]) -> ReplayOutcome {
             }
         }
     }
-    outcome.final_state_hash = fnv_fold(FNV_OFFSET, &canon_key(&world));
+    outcome.final_state_hash = fnv_fold(FNV1A_OFFSET, &canon_key(&world));
     outcome
 }
 

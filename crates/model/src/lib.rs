@@ -32,8 +32,8 @@
 //! A violated invariant yields the breadth-first event trace that
 //! reached it, which [`shrink::shrink_trace`] reduces (drop events, then
 //! drop nodes) and [`emit::emit_peas`] renders as a replayable `.peas`
-//! scenario with a `[trace]` section. `peas-bench scenario run` and the
-//! `model` binary replay such files deterministically.
+//! scenario with a `[trace]` section, which `scenario run <file>` (in
+//! `peas-bench`) replays deterministically.
 //!
 //! [`SimRng`]: peas_des::rng::SimRng
 

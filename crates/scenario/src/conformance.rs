@@ -9,24 +9,8 @@
 //! first field that differs so a failing conformance test can say
 //! precisely what drifted.
 
+use peas_des::{fnv1a_extend, FNV1A_OFFSET};
 use peas_sim::RunReport;
-
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-/// FNV-1a over a stream of string parts.
-fn fnv1a(parts: impl Iterator<Item = String>) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for part in parts {
-        for byte in part.as_bytes() {
-            hash ^= u64::from(*byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-    }
-    hash
-}
 
 /// The canonical event-stream fingerprint of a run: FNV-1a over each
 /// sample formatted as
@@ -34,8 +18,8 @@ fn fnv1a(parts: impl Iterator<Item = String>) -> u64 {
 /// Any change to protocol logic, RNG-consumption order, radio behavior
 /// or energy accounting shifts this value.
 pub fn sample_fingerprint(report: &RunReport) -> u64 {
-    fnv1a(report.samples.iter().map(|s| {
-        format!(
+    report.samples.iter().fold(FNV1A_OFFSET, |hash, s| {
+        let part = format!(
             "{:.3}|{:?}|{}|{}|{}|{}|{:?}",
             s.t_secs,
             s.coverage
@@ -47,8 +31,9 @@ pub fn sample_fingerprint(report: &RunReport) -> u64 {
             s.alive,
             s.total_wakeups,
             s.delivery_ratio.map(|r| (r * 1e6).round() as u64),
-        )
-    }))
+        );
+        fnv1a_extend(hash, part.as_bytes())
+    })
 }
 
 /// The delivery threshold used for snapshot lifetimes (the paper's 90%).

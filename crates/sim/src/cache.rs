@@ -56,7 +56,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use peas_des::{DetMap, DetSet};
+use peas_des::{fnv1a, DetMap, DetSet};
 
 use crate::config::ScenarioConfig;
 use crate::metrics::RunReport;
@@ -65,23 +65,6 @@ use crate::report_json::{
     required, Json, Reader,
 };
 use crate::runner::Runner;
-
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-/// FNV-1a over an arbitrary byte string — the workspace's one
-/// non-cryptographic content hash, shared by [`config_fingerprint`] and
-/// the record checksums.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for byte in bytes {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
 
 /// The content address of a sweep run: the fingerprint of its config
 /// (seed excluded) plus the seed. Two shards with equal keys are the same

@@ -40,12 +40,13 @@ pub mod trace;
 pub mod world;
 
 pub use cache::{
-    config_fingerprint, enumerate_shards, fnv1a, CacheRecord, CacheScan, CacheWriter, ResultCache,
+    config_fingerprint, enumerate_shards, CacheRecord, CacheScan, CacheWriter, ResultCache,
     SessionError, Shard, ShardKey, SweepPlan,
 };
 pub use config::{BatterySpec, EventWorkload, FailureConfig, MetricsConfig, ScenarioConfig};
 pub use job::{JobOutcome, JobProgress, JobSource, JobSpec, JOB_SCHEMA};
 pub use metrics::{RunReport, Sample};
+pub use peas_des::fnv1a;
 pub use report_json::{decode_report, encode_report, REPORT_SCHEMA};
 pub use runner::{average_metric, AveragedPoint, Runner};
 pub use trace::{DeathKind, FrameKind, TraceCounts, TraceEvent, TraceSink};

@@ -4,8 +4,8 @@
 //! did this pair of neighbors both work for 600 s?" — which requires the
 //! sequence of mode changes, frames and deaths, not just periodic
 //! aggregates. A [`TraceSink`] receives every such event; attach one with
-//! [`crate::World::set_trace`]. The `peas-simulate` binary exposes this as
-//! `--trace FILE` (CSV).
+//! [`crate::World::set_trace`]. `scenario run <file> --trace FILE` (in
+//! `peas-bench`) writes it as CSV.
 
 use peas::Mode;
 use peas_des::time::SimTime;
