@@ -21,7 +21,7 @@ use std::env;
 use std::process::ExitCode;
 
 use peas_bench::experiments::{self, ExperimentOpts};
-use peas_bench::Cli;
+use peas_bench::{out, outln, Cli};
 
 const CLI: Cli = Cli {
     usage: "usage: paper <command> [--quick] [--seeds a,b,c]\n\
@@ -39,7 +39,7 @@ fn main() -> ExitCode {
         Err(code) => return code,
     };
     if args.has("help") || args.has("h") {
-        println!("{}", CLI.usage);
+        outln!("{}", CLI.usage);
         return ExitCode::SUCCESS;
     }
     let [command] = &args.positional[..] else {
@@ -64,16 +64,16 @@ fn main() -> ExitCode {
 
     let t0 = std::time::Instant::now();
     match command {
-        "fig9" => print!("{}", experiments::fig9(&opts.run_deployment_sweep())),
-        "fig10" => print!("{}", experiments::fig10(&opts.run_deployment_sweep())),
-        "fig11" => print!("{}", experiments::fig11(&opts.run_deployment_sweep())),
-        "table1" => print!("{}", experiments::table1(&opts.run_deployment_sweep())),
-        "fig12" => print!("{}", experiments::fig12(&opts.run_failure_sweep())),
-        "fig13" => print!("{}", experiments::fig13(&opts.run_failure_sweep())),
-        "fig14" => print!("{}", experiments::fig14(&opts.run_failure_sweep())),
+        "fig9" => out!("{}", experiments::fig9(&opts.run_deployment_sweep())),
+        "fig10" => out!("{}", experiments::fig10(&opts.run_deployment_sweep())),
+        "fig11" => out!("{}", experiments::fig11(&opts.run_deployment_sweep())),
+        "table1" => out!("{}", experiments::table1(&opts.run_deployment_sweep())),
+        "fig12" => out!("{}", experiments::fig12(&opts.run_failure_sweep())),
+        "fig13" => out!("{}", experiments::fig13(&opts.run_failure_sweep())),
+        "fig14" => out!("{}", experiments::fig14(&opts.run_failure_sweep())),
         "sweep-n" => {
             let points = opts.run_deployment_sweep();
-            print!(
+            out!(
                 "{}\n{}\n{}\n{}",
                 experiments::fig9(&points),
                 experiments::fig10(&points),
@@ -83,28 +83,28 @@ fn main() -> ExitCode {
         }
         "sweep-f" => {
             let points = opts.run_failure_sweep();
-            print!(
+            out!(
                 "{}\n{}\n{}",
                 experiments::fig12(&points),
                 experiments::fig13(&points),
                 experiments::fig14(&points)
             );
         }
-        "kaccuracy" => print!("{}", experiments::kaccuracy()),
-        "adaptive" => print!("{}", experiments::adaptive(&opts)),
-        "gaps" => print!("{}", experiments::gaps()),
-        "connectivity" => print!("{}", experiments::connectivity(&opts)),
-        "loss" => print!("{}", experiments::loss(&opts)),
-        "deployment" => print!("{}", experiments::deployment_dist(&opts)),
-        "irregular" => print!("{}", experiments::irregular(&opts)),
-        "events" => print!("{}", experiments::events(&opts)),
-        "rp" => print!("{}", experiments::rp_sweep(&opts)),
-        "lambdad" => print!("{}", experiments::lambdad_sweep(&opts)),
-        "turnoff" => print!("{}", experiments::turnoff(&opts)),
-        "baselines" => print!("{}", experiments::baselines(&opts)),
+        "kaccuracy" => out!("{}", experiments::kaccuracy()),
+        "adaptive" => out!("{}", experiments::adaptive(&opts)),
+        "gaps" => out!("{}", experiments::gaps()),
+        "connectivity" => out!("{}", experiments::connectivity(&opts)),
+        "loss" => out!("{}", experiments::loss(&opts)),
+        "deployment" => out!("{}", experiments::deployment_dist(&opts)),
+        "irregular" => out!("{}", experiments::irregular(&opts)),
+        "events" => out!("{}", experiments::events(&opts)),
+        "rp" => out!("{}", experiments::rp_sweep(&opts)),
+        "lambdad" => out!("{}", experiments::lambdad_sweep(&opts)),
+        "turnoff" => out!("{}", experiments::turnoff(&opts)),
+        "baselines" => out!("{}", experiments::baselines(&opts)),
         "all" => {
             let points_n = opts.run_deployment_sweep();
-            print!(
+            out!(
                 "{}\n{}\n{}\n{}\n",
                 experiments::fig9(&points_n),
                 experiments::fig10(&points_n),
@@ -112,13 +112,13 @@ fn main() -> ExitCode {
                 experiments::table1(&points_n)
             );
             let points_f = opts.run_failure_sweep();
-            print!(
+            out!(
                 "{}\n{}\n{}\n",
                 experiments::fig12(&points_f),
                 experiments::fig13(&points_f),
                 experiments::fig14(&points_f)
             );
-            print!(
+            out!(
                 "{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n",
                 experiments::kaccuracy(),
                 experiments::adaptive(&opts),
@@ -130,9 +130,9 @@ fn main() -> ExitCode {
                 experiments::irregular(&opts),
                 experiments::baselines(&opts)
             );
-            println!("{}", experiments::events(&opts));
-            println!("{}", experiments::rp_sweep(&opts));
-            println!("{}", experiments::lambdad_sweep(&opts));
+            outln!("{}", experiments::events(&opts));
+            outln!("{}", experiments::rp_sweep(&opts));
+            outln!("{}", experiments::lambdad_sweep(&opts));
         }
         other => return CLI.usage_error(&format!("unknown command `{other}`")),
     }

@@ -30,7 +30,7 @@ use std::process::ExitCode;
 use std::rc::Rc;
 
 use peas_bench::model_gate::{expected_rule, model_cfg, model_run, model_snapshot};
-use peas_bench::{corpus_dir, scenario_path, Cli};
+use peas_bench::{corpus_dir, out, outln, scenario_path, Cli};
 use peas_des::time::SimTime;
 use peas_model::{emit_peas, shrink_nodes, shrink_trace, FoundViolation};
 use peas_scenario::{first_divergence, load_compiled, CompiledScenario, ModelSpec, Snapshot};
@@ -114,7 +114,7 @@ fn cmd_list(selected: &[Entry]) -> bool {
             } else {
                 "exhaustive exploration"
             };
-            println!("{stem:<12} {:>4} nodes  model world ({kind})", spec.nodes);
+            outln!("{stem:<12} {:>4} nodes  model world ({kind})", spec.nodes);
             continue;
         }
         let runs = scenario.runs();
@@ -128,7 +128,7 @@ fn cmd_list(selected: &[Entry]) -> bool {
             ),
             None => "single run".to_string(),
         };
-        println!(
+        outln!(
             "{stem:<12} {:>4} nodes  {:>3} runs  {sweep}",
             scenario.base.node_count,
             runs.len()
@@ -179,7 +179,7 @@ fn cmd_run(selected: &[Entry], opts: &RunOpts) -> bool {
 /// found is the one `[trace] expect_violation` names.
 fn run_model(entry: &Entry, spec: &ModelSpec) -> Result<(), String> {
     let (snapshot, found) = model_run(&entry.scenario)?;
-    print!("{}", snapshot.render(&entry.stem));
+    out!("{}", snapshot.render(&entry.stem));
     if let Some(found) = &found {
         eprintln!("{}: VIOLATION {}", entry.stem, found.violation);
         write_counterexample(entry, spec, found)?;
@@ -224,7 +224,7 @@ fn write_counterexample(
 fn run_simulation(entry: &Entry, opts: &RunOpts) -> Result<(), String> {
     let runs = entry.scenario.runs();
     if !opts.json {
-        println!("{}: {} run(s)", entry.stem, runs.len());
+        outln!("{}: {} run(s)", entry.stem, runs.len());
     }
     let (labels, configs): (Vec<String>, Vec<ScenarioConfig>) =
         runs.into_iter().map(|run| (run.label, run.config)).unzip();
@@ -239,7 +239,7 @@ fn run_simulation(entry: &Entry, opts: &RunOpts) -> Result<(), String> {
     };
     for (label, report) in labels.iter().zip(&reports) {
         if opts.json {
-            println!("{}", encode_report(report));
+            outln!("{}", encode_report(report));
         } else {
             print_summary(label, report);
         }
@@ -249,14 +249,14 @@ fn run_simulation(entry: &Entry, opts: &RunOpts) -> Result<(), String> {
 
 /// Prints one run's summary: every headline figure of its report.
 fn print_summary(label: &str, r: &RunReport) {
-    println!(
+    outln!(
         "  {label}: {} nodes, seed {}, {:.0} s simulated, {} wakeups",
         r.node_count,
         r.seed,
         r.end_secs,
         r.total_wakeups()
     );
-    println!(
+    outln!(
         "    coverage lifetime: k=1 {:.0} s | k=3 {:.0} s | k=4 {:.0} s | k=5 {:.0} s",
         r.coverage_lifetime(1, 0.9),
         r.coverage_lifetime(3, 0.9),
@@ -264,26 +264,30 @@ fn print_summary(label: &str, r: &RunReport) {
         r.coverage_lifetime(5, 0.9)
     );
     if r.generated_reports > 0 {
-        println!(
+        outln!(
             "    data delivery    : lifetime {:.0} s, {}/{} reports",
             r.delivery_lifetime(0.9),
             r.delivered_reports,
             r.generated_reports
         );
     }
-    println!(
+    outln!(
         "    energy           : {:.0} J consumed, overhead {:.2} J ({:.3}%)",
         r.consumed_j,
         r.overhead_j(),
         r.overhead_ratio() * 100.0
     );
-    println!(
+    outln!(
         "    deaths           : {} failures, {} battery",
-        r.failures_injected, r.energy_deaths
+        r.failures_injected,
+        r.energy_deaths
     );
-    println!(
+    outln!(
         "    medium           : {} frames, {} ok, {} collided, {} lost",
-        r.medium.frames_sent, r.medium.deliveries_ok, r.medium.collisions, r.medium.random_losses
+        r.medium.frames_sent,
+        r.medium.deliveries_ok,
+        r.medium.collisions,
+        r.medium.random_losses
     );
 }
 
@@ -330,7 +334,7 @@ fn cmd_fingerprint(selected: &[Entry]) -> bool {
     let mut ok = true;
     for entry in selected {
         match snapshot_of(&entry.scenario) {
-            Ok(snapshot) => print!("{}", snapshot.render(&entry.stem)),
+            Ok(snapshot) => out!("{}", snapshot.render(&entry.stem)),
             Err(e) => {
                 eprintln!("{}: {e}", entry.stem);
                 ok = false;
@@ -373,7 +377,7 @@ fn cmd_check(selected: &[Entry]) -> bool {
             }
         };
         match first_divergence(&expected, &actual) {
-            None => println!("{stem}: ok"),
+            None => outln!("{stem}: ok"),
             Some(divergence) => {
                 eprintln!("{stem}: DRIFT at {divergence} (golden: {})", path.display());
                 clean = false;
@@ -398,7 +402,7 @@ fn cmd_bless(selected: &[Entry]) -> Result<(), String> {
             .or_else(|| snapshot.get("canon_hash"))
             .or_else(|| snapshot.get("final_state_hash"))
             .unwrap_or("?");
-        println!("{}: blessed {} ({headline})", entry.stem, path.display());
+        outln!("{}: blessed {} ({headline})", entry.stem, path.display());
     }
     Ok(())
 }

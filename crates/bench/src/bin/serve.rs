@@ -58,7 +58,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 
-use peas_bench::{corpus_dir, run_plan, Args, Cli};
+use peas_bench::{corpus_dir, outln, run_plan, Args, Cli};
 use peas_scenario::compile_job;
 use peas_sim::job::{
     decode_job, decode_outcome, decode_progress, encode_outcome, encode_progress, JobOutcome,
@@ -372,7 +372,7 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
         &spool.sub("incoming").join(format!("{}.json", spec.name)),
         &src,
     )?;
-    println!(
+    outln!(
         "submitted job {} ({})",
         spec.name,
         match &spec.source {
@@ -387,7 +387,7 @@ fn cmd_status(args: &Args) -> Result<(), String> {
     let spool = Spool::open(args.dir("spool")?)?;
     let cache = ResultCache::open(args.dir("cache")?).map_err(|e| format!("--cache: {e}"))?;
     let scan = cache.scan().map_err(|e| format!("cache scan: {e}"))?;
-    println!(
+    outln!(
         "cache: {} record(s), {} distinct key(s) in {} segment(s), {} quarantined, {} torn",
         scan.records,
         scan.len(),
@@ -402,7 +402,7 @@ fn cmd_status(args: &Args) -> Result<(), String> {
                 .iter()
                 .filter_map(|p| p.file_stem().map(|s| s.to_string_lossy().into_owned()))
                 .collect();
-            println!("{queue}: {} ({})", files.len(), names.join(", "));
+            outln!("{queue}: {} ({})", files.len(), names.join(", "));
         }
     }
     // Live progress first, then finished outcomes, each name-sorted.
@@ -413,7 +413,7 @@ fn cmd_status(args: &Args) -> Result<(), String> {
             .map_err(|e| e.to_string())
             .and_then(|src| decode_progress(src.trim()))
         {
-            println!("job {}: running {}/{}", p.name, p.done, p.total);
+            outln!("job {}: running {}/{}", p.name, p.done, p.total);
         }
     }
     let mut responses = spool.list("responses").map_err(|e| e.to_string())?;
@@ -427,7 +427,7 @@ fn cmd_status(args: &Args) -> Result<(), String> {
             continue;
         };
         match &outcome.error {
-            None => println!(
+            None => outln!(
                 "job {}: done total={} cached={} executed={} result={:#018X}",
                 outcome.name,
                 outcome.total,
@@ -435,7 +435,7 @@ fn cmd_status(args: &Args) -> Result<(), String> {
                 outcome.executed,
                 outcome.result_fingerprint
             ),
-            Some(error) => println!("job {}: failed ({error})", outcome.name),
+            Some(error) => outln!("job {}: failed ({error})", outcome.name),
         }
     }
     Ok(())
@@ -445,7 +445,7 @@ fn cmd_control(args: &Args, what: &str) -> Result<(), String> {
     let spool = Spool::open(args.dir("spool")?)?;
     fs::write(spool.control_path(what), "")
         .map_err(|e| format!("cannot write control file: {e}"))?;
-    println!("{what} requested");
+    outln!("{what} requested");
     Ok(())
 }
 

@@ -33,7 +33,7 @@
 use std::env;
 use std::process::ExitCode;
 
-use peas_bench::{run_plan, scenario_path, Args, Cli};
+use peas_bench::{outln, run_plan, scenario_path, Args, Cli};
 use peas_scenario::{load_compiled, sample_fingerprint};
 use peas_sim::{encode_report, fnv1a, ResultCache, RunReport, SessionError, SweepPlan};
 
@@ -74,9 +74,9 @@ fn open_cache(args: &Args, flag: &str) -> Result<ResultCache, String> {
 
 fn print_merge(name: &str, plan: &SweepPlan, reports: &[RunReport]) {
     for (shard, report) in plan.shards().iter().zip(reports) {
-        println!("  {:<44} {:#018X}", shard.label, sample_fingerprint(report));
+        outln!("  {:<44} {:#018X}", shard.label, sample_fingerprint(report));
     }
-    println!(
+    outln!(
         "{name}: {} run(s) merged, sweep_fingerprint = {:#018X}",
         reports.len(),
         sweep_fingerprint(reports)
@@ -122,7 +122,7 @@ fn cmd_status(scenario_arg: &str, args: &Args) -> Result<(), String> {
     let scan = open_cache(args, "cache")?
         .scan()
         .map_err(|e| format!("cache scan: {e}"))?;
-    println!(
+    outln!(
         "{name}: {}/{} shard(s) cached",
         plan.cached(&scan),
         plan.len()
@@ -131,7 +131,7 @@ fn cmd_status(scenario_arg: &str, args: &Args) -> Result<(), String> {
         Ok(reports) => print_merge(&name, &plan, &reports),
         Err(SessionError::Incomplete { missing }) => {
             for shard in missing.iter().filter_map(|&i| plan.shards().get(i)) {
-                println!("  pending #{}: {}", shard.index, shard.label);
+                outln!("  pending #{}: {}", shard.index, shard.label);
             }
         }
     }
@@ -159,7 +159,7 @@ fn cmd_verify(scenario_arg: &str, args: &Args) -> Result<(), String> {
             ));
         }
     }
-    println!(
+    outln!(
         "verify ok: {} run(s) byte-identical, sweep_fingerprint = {:#018X}",
         a.len(),
         sweep_fingerprint(&a)

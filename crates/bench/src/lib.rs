@@ -23,7 +23,8 @@
 //! | [`experiments::turnoff`]   | §4 — working-node turn-off ablation |
 //! | [`experiments::baselines`] | §§1/6 — PEAS vs always-on / synchronized / GAF |
 //!
-//! It also holds what the bins share: the flag parser ([`Cli`]), the
+//! It also holds what the bins share: the flag parser ([`Cli`]), stdout
+//! writes that end quietly on a closed pipe ([`outln!`]), the
 //! `<name|path.peas>` scenario resolver ([`scenario_path`]), and the plan
 //! loop over the result cache ([`run_plan`], with the `--kill-after`
 //! fault injection) behind `sweep` and `serve`.
@@ -40,6 +41,34 @@ use std::str::FromStr;
 use std::time::Duration;
 
 use peas_sim::{ResultCache, RunReport, SessionError, Shard, SweepPlan};
+
+/// Writes `args` to stdout, for the bins' [`out!`] and [`outln!`]. When
+/// the reader has gone away (`scenario run … | head -3`), the process
+/// ends quietly with status 0, as a filter in a pipeline should; any
+/// other write error panics, as `print!` would.
+pub fn write_stdout(args: std::fmt::Arguments<'_>) {
+    match std::io::Write::write_fmt(&mut std::io::stdout().lock(), args) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => panic!("failed printing to stdout: {e}"),
+    }
+}
+
+/// `print!` through [`write_stdout`].
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 /// A bin's command line: the usage text printed with every usage error,
 /// and the flags the bin declares. Any other argument that starts with

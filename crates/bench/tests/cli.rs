@@ -1,13 +1,15 @@
 //! The command lines of the four bins, driven as processes: undeclared
 //! flags and missing operands are usage errors (exit 2, at once),
 //! `scenario run` takes a `.peas` path and writes a single run's CSV
-//! exports byte-identical to the same run in-process, and a model
-//! scenario's exit status follows its `[trace] expect_violation`.
+//! exports byte-identical to the same run in-process, a closed stdout
+//! ends it quietly, and a model scenario's exit status follows its
+//! `[trace] expect_violation`.
 
 use std::cell::RefCell;
 use std::fs;
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -59,22 +61,28 @@ fn run(exe: &str, args: &[&str], limit: Duration) -> Ran {
         .stderr(Stdio::from(fs::File::create(&stderr).expect("stderr file")))
         .spawn()
         .expect("spawn bin");
-    let deadline = Instant::now() + limit;
-    let status = loop {
-        if let Some(status) = child.try_wait().expect("poll child") {
-            break status;
-        }
-        if Instant::now() > deadline {
-            let _ = child.kill();
-            let _ = child.wait();
-            panic!("{exe} {args:?} still running after {limit:?}");
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    };
+    let status = wait(&mut child, limit, &format!("{exe} {args:?}"));
     Ran {
         code: status.code(),
         stdout: fs::read_to_string(&stdout).expect("read stdout"),
         stderr: fs::read_to_string(&stderr).expect("read stderr"),
+    }
+}
+
+/// Waits for `child`, killing it (and failing the test) if it has not
+/// exited within `limit`.
+fn wait(child: &mut Child, limit: Duration, what: &str) -> ExitStatus {
+    let deadline = Instant::now() + limit;
+    loop {
+        if let Some(status) = child.try_wait().expect("poll child") {
+            return status;
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("{what} still running after {limit:?}");
+        }
+        std::thread::sleep(Duration::from_millis(20));
     }
 }
 
@@ -110,6 +118,31 @@ fn undeclared_flags_are_usage_errors_in_every_bin() {
         let ran = run(exe, &args, QUICK);
         assert_usage_error(&format!("{exe} {args:?}"), &ran, "--bogus");
     }
+}
+
+/// A reader that takes one line and goes away closes `scenario run`'s
+/// stdout while the run still has its summary to print: the bin ends
+/// quietly, without a panic.
+#[test]
+fn a_closed_stdout_ends_scenario_run_quietly() {
+    let t = Scratch::new("pipe");
+    let stderr = t.path("stderr");
+    let mut child = Command::new(SCENARIO)
+        .args(["run", "smoke"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::from(fs::File::create(&stderr).expect("stderr file")))
+        .spawn()
+        .expect("spawn scenario");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("read one line");
+    // The reader is gone: the pipe is closed before the summary is due.
+    assert_eq!(first, "smoke: 1 run(s)\n");
+    let status = wait(&mut child, Duration::from_secs(300), "scenario run smoke");
+    let stderr = fs::read_to_string(&stderr).expect("read stderr");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(status.code(), Some(101), "{stderr}");
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! The pending-event set.
 //!
-//! [`EventQueue`] is a facade over a pluggable storage backend
-//! ([`QueueCore`]): by default the ladder queue ([`crate::ladder`],
+//! [`EventQueue`] is a plain priority queue over a pluggable storage
+//! backend ([`QueueCore`]): by default the ladder queue ([`crate::ladder`],
 //! amortized O(1) enqueue/dequeue at million-entry depth), or the
 //! original binary heap ([`crate::heap_ref`]) when `peas-des` is built
 //! with `--features heap-queue`. Both backends honor the same total
@@ -9,39 +9,14 @@
 //! for the same instant fire in schedule order — which is why swapping
 //! them cannot perturb a simulation: every pop is uniquely determined.
 //!
-//! Cancellation is lazy and lives in the facade, not the backend: a
-//! cancelled id is cleared from the pending bitvector and its entry
-//! rides through the backend as a tombstone, skipped on pop. That keeps
-//! `cancel` O(1) and backends oblivious to liveness.
+//! The queue knows nothing of liveness: every scheduled event pops
+//! exactly once. A caller that revokes events stamps them with state it
+//! owns and drops the stale ones when they pop, as `peas-sim`'s `World`
+//! does with a generation per node and timer class.
 
 use std::fmt;
 
 use crate::time::SimTime;
-
-/// Opaque handle to a scheduled event, usable to cancel it.
-///
-/// Ids are unique within one [`EventQueue`] and never reused.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId(u64);
-
-impl EventId {
-    /// A sentinel id no queue ever issues (sequence numbers are dense from
-    /// zero, so `u64::MAX` is unreachable). Lets flat timer tables mark an
-    /// empty slot without the niche cost of `Option<EventId>` per entry;
-    /// cancelling it is a no-op (`EventQueue::cancel` returns `false`).
-    pub const NONE: EventId = EventId(u64::MAX);
-
-    /// Whether this is the [`EventId::NONE`] sentinel.
-    pub fn is_none(self) -> bool {
-        self == EventId::NONE
-    }
-}
-
-impl fmt::Debug for EventId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "EventId({})", self.0)
-    }
-}
 
 /// Storage backend for [`EventQueue`]: a multiset of `(time, seq,
 /// payload)` entries popped in strictly ascending `(time, seq)` order.
@@ -49,8 +24,7 @@ impl fmt::Debug for EventId {
 /// Keys are raw nanosecond timestamps plus the facade-issued dense
 /// sequence number, so `(time, seq)` is unique — the pop order is a
 /// *total* order and every conforming implementation yields the
-/// identical stream. Backends never see cancellation: the facade skips
-/// tombstoned entries after popping them.
+/// identical stream.
 pub trait QueueCore<E> {
     /// Stores one entry. `seq` values arrive dense and monotonically
     /// increasing across the queue's lifetime.
@@ -89,14 +63,11 @@ pub type LadderEventQueue<E> = EventQueue<E, crate::ladder::LadderCore<E>>;
 pub struct Fired<E> {
     /// The instant the event was scheduled for.
     pub time: SimTime,
-    /// The handle it was scheduled under.
-    pub id: EventId,
     /// The event payload.
     pub payload: E,
 }
 
-/// Priority queue of timestamped events with stable FIFO tie-breaking and
-/// O(1) cancellation.
+/// Priority queue of timestamped events with stable FIFO tie-breaking.
 ///
 /// # Examples
 ///
@@ -113,58 +84,12 @@ pub struct Fired<E> {
 /// ```
 pub struct EventQueue<E, C: QueueCore<E> = DefaultCore<E>> {
     core: C,
-    /// Ids of scheduled events that have neither fired nor been cancelled.
-    pending: PendingBits,
     next_seq: u64,
-    /// Largest live pending count ever observed (queue-depth telemetry).
+    /// Entries scheduled and not yet popped.
+    len: usize,
+    /// Largest `len` ever observed (queue-depth telemetry).
     high_water: usize,
     _payload: std::marker::PhantomData<E>,
-}
-
-/// Pending-membership set over the dense, monotonically issued event ids:
-/// one bit per id ever issued, so insert/remove/contains are branch-light
-/// word operations instead of hashing. Memory grows by one bit per
-/// scheduled event and is never reclaimed until [`EventQueue::clear`].
-#[derive(Default)]
-struct PendingBits {
-    words: Vec<u64>,
-    live: usize,
-}
-
-impl PendingBits {
-    fn insert(&mut self, id: u64) {
-        let (w, mask) = ((id / 64) as usize, 1u64 << (id % 64));
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
-        }
-        debug_assert_eq!(self.words[w] & mask, 0, "event id issued twice");
-        self.words[w] |= mask;
-        self.live += 1;
-    }
-
-    /// Clears the bit; `true` if it was set.
-    fn remove(&mut self, id: u64) -> bool {
-        let (w, mask) = ((id / 64) as usize, 1u64 << (id % 64));
-        match self.words.get_mut(w) {
-            Some(word) if *word & mask != 0 => {
-                *word &= !mask;
-                self.live -= 1;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    fn contains(&self, id: u64) -> bool {
-        self.words
-            .get((id / 64) as usize)
-            .is_some_and(|word| word & (1 << (id % 64)) != 0)
-    }
-
-    fn clear(&mut self) {
-        self.words.clear();
-        self.live = 0;
-    }
 }
 
 impl<E, C: QueueCore<E> + Default> Default for EventQueue<E, C> {
@@ -178,8 +103,8 @@ impl<E, C: QueueCore<E> + Default> EventQueue<E, C> {
     pub fn new() -> EventQueue<E, C> {
         EventQueue {
             core: C::default(),
-            pending: PendingBits::default(),
             next_seq: 0,
+            len: 0,
             high_water: 0,
             _payload: std::marker::PhantomData,
         }
@@ -187,112 +112,69 @@ impl<E, C: QueueCore<E> + Default> EventQueue<E, C> {
 }
 
 impl<E, C: QueueCore<E>> EventQueue<E, C> {
-    /// Schedules `payload` to fire at `time`, returning a cancellable handle.
+    /// Schedules `payload` to fire at `time`.
     ///
     /// Events for equal times fire in the order they were scheduled.
-    pub fn schedule(&mut self, time: SimTime, payload: E) -> EventId {
+    pub fn schedule(&mut self, time: SimTime, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let id = EventId(seq);
         self.core.push(time.as_nanos(), seq, payload);
-        self.pending.insert(seq);
-        self.high_water = self.high_water.max(self.pending.live);
-        id
+        self.len += 1;
+        self.high_water = self.high_water.max(self.len);
     }
 
-    /// Cancels a pending event. Returns `true` if the event was still
-    /// pending, `false` if it already fired or was already cancelled.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        // Removing from `pending` is the single source of truth; the
-        // backend entry becomes a tombstone that pops skip lazily.
-        self.pending.remove(id.0)
-    }
-
-    /// Removes and returns the earliest pending event.
+    /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<Fired<E>> {
-        while let Some((time, seq, payload)) = self.core.pop() {
-            if self.pending.remove(seq) {
-                return Some(Fired {
-                    time: SimTime::from_nanos(time),
-                    id: EventId(seq),
-                    payload,
-                });
-            }
-            // else: cancelled tombstone, skip
-        }
-        None
+        let (time, _, payload) = self.core.pop()?;
+        self.len -= 1;
+        Some(Fired {
+            time: SimTime::from_nanos(time),
+            payload,
+        })
     }
 
-    /// Removes and returns the earliest pending event if it fires
-    /// strictly before `horizon`; `None` otherwise (queue untouched
-    /// except for tombstones drained off the front).
-    ///
-    /// One backend probe per delivered event, versus the two a
-    /// peek-then-pop loop costs — this is the simulator's hot path.
+    /// Removes and returns the earliest event if it fires strictly
+    /// before `horizon`; `None` otherwise, with the queue untouched.
     pub fn pop_before(&mut self, horizon: SimTime) -> Option<Fired<E>> {
-        loop {
-            let (time, seq) = self.core.peek_key()?;
-            if !self.pending.contains(seq) {
-                // Tombstone: discard and look again.
-                self.core.pop();
-                continue;
-            }
-            if time >= horizon.as_nanos() {
-                return None;
-            }
-            let (time, seq, payload) = self.core.pop()?;
-            self.pending.remove(seq);
-            return Some(Fired {
-                time: SimTime::from_nanos(time),
-                id: EventId(seq),
-                payload,
-            });
+        let (time, _) = self.core.peek_key()?;
+        if time >= horizon.as_nanos() {
+            return None;
         }
+        self.pop()
     }
 
-    /// The time of the earliest pending event, if any.
+    /// The time of the earliest event, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        // Drain tombstones off the top so peek reflects a live event.
-        while let Some((time, seq)) = self.core.peek_key() {
-            if self.pending.contains(seq) {
-                return Some(SimTime::from_nanos(time));
-            }
-            self.core.pop();
-        }
-        None
+        self.core
+            .peek_key()
+            .map(|(time, _)| SimTime::from_nanos(time))
     }
 
-    /// Number of live (non-cancelled) pending events.
+    /// Number of events scheduled and not yet popped.
     pub fn len(&self) -> usize {
-        self.pending.live
+        self.len
     }
 
-    /// Whether no live events remain.
+    /// Whether no events remain.
     pub fn is_empty(&self) -> bool {
-        self.pending.live == 0
+        self.len == 0
     }
 
-    /// Total number of events ever scheduled (monotone counter).
-    pub fn scheduled_total(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Largest number of simultaneously live pending events ever
-    /// observed. Monotone; survives pops but not [`EventQueue::clear`].
+    /// Largest number of simultaneously queued events ever observed.
+    /// Monotone; survives pops but not [`EventQueue::clear`].
     pub fn high_water(&self) -> usize {
         self.high_water
     }
 
-    /// Approximate heap bytes held by the queue: backend storage plus
-    /// the pending bitvector.
+    /// Approximate heap bytes held by the backend's storage.
     pub fn memory_bytes(&self) -> usize {
-        self.core.memory_bytes() + self.pending.words.capacity() * 8
+        self.core.memory_bytes()
     }
 
-    /// Drops all pending events.
+    /// Drops all events.
     pub fn clear(&mut self) {
         self.core.clear();
-        self.pending.clear();
+        self.len = 0;
         self.high_water = 0;
     }
 }
@@ -300,7 +182,7 @@ impl<E, C: QueueCore<E>> EventQueue<E, C> {
 impl<E, C: QueueCore<E>> fmt::Debug for EventQueue<E, C> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EventQueue")
-            .field("live", &self.pending.live)
+            .field("len", &self.len)
             .field("scheduled_total", &self.next_seq)
             .finish()
     }
@@ -309,6 +191,8 @@ impl<E, C: QueueCore<E>> fmt::Debug for EventQueue<E, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
+    use crate::time::SimDuration;
 
     fn t(secs: u64) -> SimTime {
         SimTime::from_secs(secs)
@@ -335,63 +219,16 @@ mod tests {
     }
 
     #[test]
-    fn cancel_removes_event() {
-        let mut q: EventQueue<_> = EventQueue::new();
-        let a = q.schedule(t(1), "a");
-        let b = q.schedule(t(2), "b");
-        assert!(q.cancel(a));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().unwrap().payload, "b");
-        assert!(q.pop().is_none());
-        let _ = b;
-    }
-
-    #[test]
-    fn cancel_twice_is_false() {
-        let mut q: EventQueue<_> = EventQueue::new();
-        let a = q.schedule(t(1), ());
-        assert!(q.cancel(a));
-        assert!(!q.cancel(a));
-    }
-
-    #[test]
-    fn cancel_after_fire_is_false() {
-        let mut q: EventQueue<_> = EventQueue::new();
-        let a = q.schedule(t(1), ());
-        assert!(q.pop().is_some());
-        assert!(!q.cancel(a));
-    }
-
-    #[test]
-    fn cancel_unknown_id_is_false() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        let mut other: EventQueue<_> = EventQueue::new();
-        let foreign = other.schedule(t(1), ());
-        // `foreign` has seq 0 which this queue never issued.
-        assert!(!q.cancel(foreign));
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut q: EventQueue<_> = EventQueue::new();
-        let a = q.schedule(t(1), "a");
-        q.schedule(t(2), "b");
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(t(2)));
-    }
-
-    #[test]
-    fn len_tracks_live_events() {
+    fn len_counts_queued_events() {
         let mut q: EventQueue<_> = EventQueue::new();
         assert!(q.is_empty());
-        let a = q.schedule(t(1), ());
+        q.schedule(t(1), ());
         q.schedule(t(2), ());
         assert_eq!(q.len(), 2);
-        q.cancel(a);
+        q.pop();
         assert_eq!(q.len(), 1);
         q.pop();
         assert!(q.is_empty());
-        assert_eq!(q.scheduled_total(), 2);
     }
 
     #[test]
@@ -405,12 +242,11 @@ mod tests {
     }
 
     #[test]
-    fn fired_reports_schedule_time_and_id() {
+    fn fired_reports_schedule_time() {
         let mut q: EventQueue<_> = EventQueue::new();
-        let id = q.schedule(t(7), 42);
+        q.schedule(t(7), 42);
         let fired = q.pop().unwrap();
         assert_eq!(fired.time, t(7));
-        assert_eq!(fired.id, id);
         assert_eq!(fired.payload, 42);
     }
 
@@ -423,18 +259,9 @@ mod tests {
         // Event exactly at the horizon does not fire.
         assert!(q.pop_before(t(5)).is_none());
         assert_eq!(q.len(), 1);
+        assert_eq!(q.peek_time(), Some(t(5)));
         assert_eq!(q.pop_before(t(6)).unwrap().payload, 5);
         assert!(q.pop_before(t(100)).is_none());
-    }
-
-    #[test]
-    fn pop_before_skips_cancelled_tombstones() {
-        let mut q: EventQueue<_> = EventQueue::new();
-        let a = q.schedule(t(1), "cancelled");
-        q.schedule(t(2), "kept");
-        q.cancel(a);
-        assert_eq!(q.pop_before(t(10)).unwrap().payload, "kept");
-        assert!(q.pop_before(t(10)).is_none());
     }
 
     #[test]
@@ -462,31 +289,59 @@ mod tests {
         assert!(q.memory_bytes() > 0);
     }
 
+    /// The hold model — pop the earliest event and reschedule it up to
+    /// twice a 10 s mean ahead — at a fixed pending depth, for `ops`
+    /// operations. The queue's bytes must follow the depth, not the
+    /// number of events carried: neither a bit per event ever scheduled
+    /// nor a pooled vector per `top` flush.
+    #[test]
+    fn hold_model_memory_follows_pending_depth() {
+        const SLOTS_PER_PENDING: usize = 16;
+        let slot = std::mem::size_of::<(u64, u64, u64)>();
+        for (pending, ops) in [(100u64, 2_000_000u64), (1_000, 2_000_000)] {
+            let mut q: EventQueue<u64> = EventQueue::new();
+            let mean = SimDuration::from_secs(10);
+            let mut rng = SimRng::stream(0xBEE5, pending);
+            for i in 0..pending {
+                q.schedule(
+                    SimTime::ZERO + rng.range_duration(SimDuration::ZERO, mean * 2),
+                    i,
+                );
+            }
+            for i in 0..ops {
+                let f = q.pop().expect("the hold model never empties the queue");
+                let ahead = SimDuration::from_nanos(1 + rng.below(2 * mean.as_nanos()));
+                q.schedule(f.time + ahead, i);
+            }
+            let bound = SLOTS_PER_PENDING * pending as usize * slot;
+            assert!(
+                q.memory_bytes() <= bound,
+                "{} bytes at {pending} pending after {ops} operations; bound {bound}",
+                q.memory_bytes()
+            );
+        }
+    }
+
     #[test]
     fn heap_and_ladder_queues_agree_on_a_mixed_run() {
         // A quick inline differential check; the heavyweight version with
-        // arbitrary interleavings lives in tests/proptests.rs.
+        // arbitrary interleavings lives in tests/proptests.rs. Every
+        // seventh event is revoked by the driver, which skips it on pop.
         fn drive<C: QueueCore<u64> + Default>() -> Vec<(SimTime, u64)> {
             let mut q: EventQueue<u64, C> = EventQueue::new();
-            let mut cancel_me = Vec::new();
             for i in 0..500u64 {
-                let id = q.schedule(SimTime::from_nanos((i * 131) % 977), i);
-                if i % 7 == 0 {
-                    cancel_me.push(id);
-                }
-            }
-            for id in cancel_me {
-                q.cancel(id);
+                q.schedule(SimTime::from_nanos((i * 131) % 977), i);
             }
             let mut out = Vec::new();
             while let Some(f) = q.pop() {
-                out.push((f.time, f.payload));
+                if f.payload % 7 != 0 {
+                    out.push((f.time, f.payload));
+                }
             }
             out
         }
-        assert_eq!(
-            drive::<crate::heap_ref::HeapCore<u64>>(),
-            drive::<crate::ladder::LadderCore<u64>>()
-        );
+        let heap = drive::<crate::heap_ref::HeapCore<u64>>();
+        assert_eq!(heap.len(), 500 - 72);
+        assert_eq!(heap, drive::<crate::ladder::LadderCore<u64>>());
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! This is the pre-ladder `EventQueue` storage, retained verbatim as the
 //! trusted oracle: the differential proptest in `tests/proptests.rs`
-//! replays arbitrary push/pop/cancel interleavings against both backends
+//! replays arbitrary push/pop interleavings against both backends
 //! and requires identical `Fired` streams, and `--features heap-queue`
 //! swaps it back in as the default so any suspected ladder bug can be
 //! bisected against golden fingerprints in one rebuild. It is *not* a
@@ -15,7 +15,6 @@ use std::collections::BinaryHeap;
 
 use crate::event::QueueCore;
 
-// An entry's id is always `EventId(seq)`; it is not stored separately.
 struct Entry<E> {
     time: u64,
     seq: u64,

@@ -32,11 +32,14 @@
 //! the far future; a transfer into `bottom` sorts, so ties broken by
 //! `seq` come out exactly as the heap's tie-break did.
 //!
-//! ## Cancellation
+//! ## Memory
 //!
-//! Unchanged from the heap backend: the facade's pending bitvector is the
-//! single source of truth and cancelled entries ride through rungs as
-//! tombstones, skipped on pop. Nothing here ever inspects liveness.
+//! Emptied vectors go to a pool (`spare_buckets`) instead of back to
+//! the allocator, and each vector that starts collecting entries — a new
+//! rung's buckets, the `bottom` behind a re-bucketed one, the next `top`
+//! — comes out of it. A vector is therefore new only when more are in
+//! use at once than ever before, and the queue's footprint follows its
+//! pending depth, not the number of events it has carried.
 
 use crate::event::QueueCore;
 
@@ -126,7 +129,7 @@ pub struct LadderCore<E> {
     /// Min/max times currently in `top` (valid when `top` is non-empty).
     top_min: u64,
     top_max: u64,
-    /// Total stored entries, tombstones included.
+    /// Total stored entries.
     len: usize,
     /// Recycled bucket vectors: rungs are spawned and drained constantly
     /// (one per oversized bucket), so their `Vec`s are pooled instead of
@@ -198,8 +201,7 @@ impl<E> LadderCore<E> {
         self.bottom.insert(pos, slot);
     }
 
-    /// Removes and returns the globally earliest entry (tombstones
-    /// included — liveness is the facade's concern).
+    /// Removes and returns the globally earliest entry.
     fn pop_slot(&mut self) -> Option<Slot<E>> {
         loop {
             if let Some(slot) = self.bottom.pop() {
@@ -260,7 +262,10 @@ impl<E> LadderCore<E> {
             if self.top.is_empty() {
                 return false;
             }
-            let flushed = std::mem::take(&mut self.top);
+            // The next `top` grows in a pooled vector: a fresh one per
+            // flush would add one vector to the pool every flush.
+            let spare = self.spare_buckets.pop().unwrap_or_default();
+            let flushed = std::mem::replace(&mut self.top, spare);
             // Everything at or past the new boundary stays in `top`;
             // everything below it now lives in rungs or bottom.
             self.top_start = self.top_max.saturating_add(1);

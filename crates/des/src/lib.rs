@@ -7,9 +7,9 @@
 //!
 //! * [`time`] — integer-nanosecond [`SimTime`]/[`SimDuration`] newtypes, so
 //!   event ordering never depends on floating-point rounding;
-//! * [`event`] — a priority queue with stable FIFO tie-breaking and O(1)
-//!   cancellation, backed by the amortized-O(1) [`ladder`] queue (or the
-//!   [`heap_ref`] binary-heap reference under `--features heap-queue`);
+//! * [`event`] — a priority queue with stable FIFO tie-breaking, backed
+//!   by the amortized-O(1) [`ladder`] queue (or the [`heap_ref`]
+//!   binary-heap reference under `--features heap-queue`);
 //! * [`rng`] — xoshiro256++ generators with per-entity decoupled streams and
 //!   the samplers PEAS needs (exponential sleeping times, uniform backoffs,
 //!   normally distributed signal irregularity);
@@ -60,7 +60,7 @@ pub mod time;
 
 pub use arena::Arena;
 pub use detmap::{DetMap, DetSet};
-pub use event::{EventId, EventQueue, Fired, HeapEventQueue, LadderEventQueue, QueueCore};
+pub use event::{EventQueue, Fired, HeapEventQueue, LadderEventQueue, QueueCore};
 pub use fnv::{fnv1a, fnv1a_extend, FNV1A_OFFSET};
 pub use rng::SimRng;
 pub use sim::Simulator;
@@ -70,7 +70,7 @@ pub use time::{SimDuration, SimTime};
 pub mod prelude {
     pub use crate::arena::Arena;
     pub use crate::detmap::{DetMap, DetSet};
-    pub use crate::event::{EventId, Fired};
+    pub use crate::event::Fired;
     pub use crate::rng::SimRng;
     pub use crate::sim::Simulator;
     pub use crate::time::{SimDuration, SimTime};

@@ -27,7 +27,7 @@
 //! gymnastics: the caller matches on the popped payload with full `&mut`
 //! access to its own state and to the simulator.
 
-use crate::event::{EventId, EventQueue, Fired};
+use crate::event::{EventQueue, Fired};
 use crate::time::{SimDuration, SimTime};
 
 /// Sequential event-driven simulator: a clock plus a pending-event set.
@@ -38,7 +38,6 @@ use crate::time::{SimDuration, SimTime};
 pub struct Simulator<E> {
     now: SimTime,
     queue: EventQueue<E>,
-    processed: u64,
 }
 
 impl<E> Default for Simulator<E> {
@@ -53,7 +52,6 @@ impl<E> Simulator<E> {
         Simulator {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
-            processed: 0,
         }
     }
 
@@ -68,7 +66,7 @@ impl<E> Simulator<E> {
     ///
     /// Panics if `time` is in the past (`time < self.now()`): a causal
     /// simulation must never rewind.
-    pub fn schedule_at(&mut self, time: SimTime, payload: E) -> EventId {
+    pub fn schedule_at(&mut self, time: SimTime, payload: E) {
         assert!(
             time >= self.now,
             "cannot schedule into the past: {time:?} < now {:?}",
@@ -78,13 +76,8 @@ impl<E> Simulator<E> {
     }
 
     /// Schedules `payload` to fire `delay` after the current instant.
-    pub fn schedule_after(&mut self, delay: SimDuration, payload: E) -> EventId {
+    pub fn schedule_after(&mut self, delay: SimDuration, payload: E) {
         self.queue.schedule(self.now + delay, payload)
-    }
-
-    /// Cancels a pending event; `true` if it had not yet fired.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.queue.cancel(id)
     }
 
     /// Pops the next event unconditionally, advancing the clock to it.
@@ -97,7 +90,6 @@ impl<E> Simulator<E> {
         let fired = self.queue.pop()?;
         debug_assert!(fired.time >= self.now, "event queue went backwards");
         self.now = fired.time;
-        self.processed += 1;
         Some(fired)
     }
 
@@ -113,7 +105,6 @@ impl<E> Simulator<E> {
             Some(fired) => {
                 debug_assert!(fired.time >= self.now, "event queue went backwards");
                 self.now = fired.time;
-                self.processed += 1;
                 Some(fired)
             }
             None => {
@@ -128,7 +119,7 @@ impl<E> Simulator<E> {
         self.queue.peek_time()
     }
 
-    /// Number of live pending events.
+    /// Number of pending events.
     pub fn pending(&self) -> usize {
         self.queue.len()
     }
@@ -136,16 +127,6 @@ impl<E> Simulator<E> {
     /// Whether the event set is exhausted.
     pub fn is_idle(&self) -> bool {
         self.queue.is_empty()
-    }
-
-    /// Count of events fired so far.
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// Total events ever scheduled.
-    pub fn scheduled_total(&self) -> u64 {
-        self.queue.scheduled_total()
     }
 
     /// Largest number of simultaneously pending events ever observed.
@@ -170,7 +151,7 @@ mod tests {
         let fired = sim.next().unwrap();
         assert_eq!(fired.payload, "a");
         assert_eq!(sim.now(), SimTime::from_secs(5));
-        assert_eq!(sim.processed(), 1);
+        assert!(sim.is_idle());
     }
 
     #[test]
@@ -218,17 +199,6 @@ mod tests {
         sim.schedule_at(SimTime::from_secs(2), ());
         sim.next().unwrap();
         sim.schedule_at(SimTime::from_secs(1), ());
-    }
-
-    #[test]
-    fn cancelled_events_do_not_fire() {
-        let mut sim = Simulator::new();
-        let id = sim.schedule_at(SimTime::from_secs(1), "cancelled");
-        sim.schedule_at(SimTime::from_secs(2), "kept");
-        assert!(sim.cancel(id));
-        let fired = sim.next().unwrap();
-        assert_eq!(fired.payload, "kept");
-        assert!(sim.next().is_none());
     }
 
     #[test]

@@ -1,18 +1,18 @@
-//! Property-based tests for the DES engine: ordering, cancellation,
-//! determinism, backend equivalence, and distributional sanity of the RNG.
+//! Property-based tests for the DES engine: ordering, determinism,
+//! backend equivalence, and distributional sanity of the RNG.
 
 use proptest::prelude::*;
 
-use peas_des::event::{EventQueue, HeapEventQueue, LadderEventQueue, QueueCore};
+use peas_des::event::{EventQueue, Fired, HeapEventQueue, LadderEventQueue, QueueCore};
 use peas_des::rng::SimRng;
 use peas_des::sim::Simulator;
 use peas_des::time::{SimDuration, SimTime};
 
 /// One step of the differential queue exerciser: a schedule at a raw
-/// nanosecond timestamp, a pop, a bounded pop, a cancel of the i-th
-/// still-known id, or a peek. Times are drawn from a lumpy menu so the
-/// ladder's structures all get traffic: a dense near band (hits the
-/// bottom rung and spawned child rungs), a far-future band (hits the
+/// nanosecond timestamp, a pop, a bounded pop, a revocation of the i-th
+/// event scheduled so far, or a peek. Times are drawn from a lumpy menu
+/// so the ladder's structures all get traffic: a dense near band (hits
+/// the bottom rung and spawned child rungs), a far-future band (hits the
 /// unsorted top), exact collisions (same-time ties broken by seq), the
 /// epoch (pushes *behind* everything pending after progress has been
 /// made), and `u64::MAX` (saturating bucket math).
@@ -48,44 +48,78 @@ fn queue_op() -> impl Strategy<Value = QueueOp> {
     ]
 }
 
+/// A set of `u32` payloads.
+#[derive(Default)]
+struct Payloads(Vec<bool>);
+
+impl Payloads {
+    fn insert(&mut self, payload: u32) {
+        let at = payload as usize;
+        if at >= self.0.len() {
+            self.0.resize(at + 1, false);
+        }
+        self.0[at] = true;
+    }
+
+    fn contains(&self, payload: u32) -> bool {
+        self.0.get(payload as usize).copied().unwrap_or(false)
+    }
+}
+
+/// Pops through `next` until an event whose payload was not revoked
+/// comes out. This is revocation on the caller's side, as the simulator
+/// does it: both backends see the same skips, so a compared stream keeps
+/// every revoked input.
+fn next_live(revoked: &Payloads, next: impl FnMut() -> Option<Fired<u32>>) -> Option<Fired<u32>> {
+    std::iter::from_fn(next).find(|f| !revoked.contains(f.payload))
+}
+
 /// Replays `ops` against a queue and records every observable outcome:
-/// the full `Fired` stream (time, id, payload) plus cancel/peek/len
-/// results. Two backends agree iff their transcripts are identical.
+/// the full `Fired` stream (time, payload) of events not revoked, plus
+/// revoke/peek/len results. Two backends agree iff their transcripts are
+/// identical.
 fn transcript<C: QueueCore<u32> + Default>(ops: &[QueueOp]) -> Vec<String> {
     let mut q: EventQueue<u32, C> = EventQueue::new();
-    let mut ids = Vec::new();
+    let mut scheduled = Vec::new();
+    let mut fired = Payloads::default();
+    let mut revoked = Payloads::default();
     let mut out = Vec::new();
     for (step, op) in ops.iter().enumerate() {
         match op {
             QueueOp::Schedule(t) => {
-                let id = q.schedule(SimTime::from_nanos(*t), step as u32);
-                ids.push(id);
-                out.push(format!("schedule {t} -> {id:?}"));
+                q.schedule(SimTime::from_nanos(*t), step as u32);
+                scheduled.push(step as u32);
+                out.push(format!("schedule {t} -> {step}"));
             }
-            QueueOp::Pop => match q.pop() {
-                Some(f) => out.push(format!(
-                    "pop -> {} {:?} {}",
-                    f.time.as_nanos(),
-                    f.id,
-                    f.payload
-                )),
+            QueueOp::Pop => match next_live(&revoked, || q.pop()) {
+                Some(f) => {
+                    fired.insert(f.payload);
+                    out.push(format!("pop -> {} {}", f.time.as_nanos(), f.payload));
+                }
                 None => out.push("pop -> none".into()),
             },
-            QueueOp::PopBefore(h) => match q.pop_before(SimTime::from_nanos(*h)) {
-                Some(f) => out.push(format!(
-                    "pop_before {h} -> {} {:?} {}",
-                    f.time.as_nanos(),
-                    f.id,
-                    f.payload
-                )),
-                None => out.push(format!("pop_before {h} -> none")),
-            },
+            QueueOp::PopBefore(h) => {
+                let horizon = SimTime::from_nanos(*h);
+                match next_live(&revoked, || q.pop_before(horizon)) {
+                    Some(f) => {
+                        fired.insert(f.payload);
+                        out.push(format!(
+                            "pop_before {h} -> {} {}",
+                            f.time.as_nanos(),
+                            f.payload
+                        ));
+                    }
+                    None => out.push(format!("pop_before {h} -> none")),
+                }
+            }
             QueueOp::Cancel(i) => {
-                if ids.is_empty() {
+                if scheduled.is_empty() {
                     continue;
                 }
-                let id = ids[i % ids.len()];
-                out.push(format!("cancel {id:?} -> {}", q.cancel(id)));
+                let payload = scheduled[i % scheduled.len()];
+                let live = !fired.contains(payload) && !revoked.contains(payload);
+                revoked.insert(payload);
+                out.push(format!("cancel {payload} -> {live}"));
             }
             QueueOp::PeekTime => {
                 out.push(format!(
@@ -97,13 +131,8 @@ fn transcript<C: QueueCore<u32> + Default>(ops: &[QueueOp]) -> Vec<String> {
         out.push(format!("len {} hw {}", q.len(), q.high_water()));
     }
     // Drain the remainder: total order must hold to the last entry.
-    while let Some(f) = q.pop() {
-        out.push(format!(
-            "drain -> {} {:?} {}",
-            f.time.as_nanos(),
-            f.id,
-            f.payload
-        ));
+    while let Some(f) = next_live(&revoked, || q.pop()) {
+        out.push(format!("drain -> {} {}", f.time.as_nanos(), f.payload));
     }
     out
 }
@@ -130,39 +159,10 @@ proptest! {
         prop_assert!(q.is_empty());
     }
 
-    /// Cancelling an arbitrary subset removes exactly that subset.
-    #[test]
-    fn cancellation_removes_exactly_the_cancelled(
-        times in prop::collection::vec(0u64..100, 1..100),
-        cancel_mask in prop::collection::vec(any::<bool>(), 1..100),
-    ) {
-        let mut q: EventQueue<usize> = EventQueue::new();
-        let ids: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (i, q.schedule(SimTime::from_nanos(t), i)))
-            .collect();
-        let mut expect_kept: Vec<usize> = Vec::new();
-        for (i, id) in &ids {
-            if cancel_mask.get(*i).copied().unwrap_or(false) {
-                prop_assert!(q.cancel(*id));
-            } else {
-                expect_kept.push(*i);
-            }
-        }
-        let mut popped: Vec<usize> = Vec::new();
-        while let Some(f) = q.pop() {
-            popped.push(f.payload);
-        }
-        popped.sort_unstable();
-        expect_kept.sort_unstable();
-        prop_assert_eq!(popped, expect_kept);
-    }
-
     /// Differential: the ladder queue and the binary-heap reference
     /// produce identical observable transcripts — the same `Fired`
-    /// stream (same-time ties broken by seq), the same cancel/peek/len
-    /// results — under arbitrary interleaved push/pop/cancel sequences
+    /// stream (same-time ties broken by seq), the same revoke/peek/len
+    /// results — under arbitrary interleaved push/pop/revoke sequences
     /// including far-future and past-epoch pushes.
     #[test]
     fn ladder_matches_heap_reference(ops in prop::collection::vec(queue_op(), 1..400)) {
@@ -234,45 +234,52 @@ proptest! {
 /// A deterministic heavyweight differential run: timer-heavy workloads at
 /// depths the proptest's short op sequences never reach, so rung spawning
 /// and the top-flush path are both exercised against the reference. Two
-/// inputs, each compared as the full `(time, payload)` pop stream:
+/// inputs, each compared as the full `(time, payload)` pop stream of the
+/// events the driver did not revoke:
 ///
 /// * **churn** — 50k timers over about an hour, rescheduled ahead of each
-///   pop, with a random live id cancelled every third step;
+///   pop, with a random scheduled timer revoked every third step;
 /// * **hold** — the classic hold model at 1k and 10k pending: fill
 ///   uniformly over 20 s, pop and reschedule 100k times, schedule a fresh
-///   third on top and cancel all of it, then drain.
+///   third on top and revoke all of it, then drain.
 #[test]
 fn ladder_matches_heap_on_deep_timer_workload() {
     fn churn<C: QueueCore<u32> + Default>() -> Vec<(u64, u64)> {
         let mut q: EventQueue<u32, C> = EventQueue::new();
         let mut rng = SimRng::new(0xD1FF);
-        let mut live = Vec::new();
+        let mut scheduled = Vec::new();
+        let mut revoked = Payloads::default();
         // Load phase: 50k pending timers spread over ~an hour.
         for i in 0..50_000u32 {
             let t = rng.below(3_600_000_000_000);
-            live.push(q.schedule(SimTime::from_nanos(t), i));
+            q.schedule(SimTime::from_nanos(t), i);
+            scheduled.push(i);
         }
         let mut out = Vec::new();
         // Churn phase: pop, then reschedule ahead of the popped time and
-        // occasionally cancel a random live id.
+        // occasionally revoke a random scheduled timer.
         for i in 0..50_000u32 {
-            let f = q.pop().expect("queue drained early");
+            let f = next_live(&revoked, || q.pop()).expect("queue drained early");
             out.push((f.time.as_nanos(), f.payload as u64));
             let ahead = f.time + SimDuration::from_nanos(1 + rng.below(10_000_000_000));
-            live.push(q.schedule(ahead, 50_000 + i));
+            q.schedule(ahead, 50_000 + i);
+            scheduled.push(50_000 + i);
             if i % 3 == 0 {
-                let idx = rng.below(live.len() as u64) as usize;
-                q.cancel(live[idx]);
+                let idx = rng.below(scheduled.len() as u64) as usize;
+                revoked.insert(scheduled[idx]);
             }
         }
-        while let Some(f) = q.pop() {
+        while let Some(f) = next_live(&revoked, || q.pop()) {
             out.push((f.time.as_nanos(), f.payload as u64));
         }
         out
     }
     fn hold<C: QueueCore<u32> + Default>(size: u32) -> Vec<(u64, u64)> {
         const SPAN: SimDuration = SimDuration::from_secs(20);
+        // Payloads of the fresh third: above every hold-phase payload.
+        const FRESH: u32 = 1 << 20;
         let mut q: EventQueue<u32, C> = EventQueue::new();
+        let mut revoked = Payloads::default();
         let mut rng = SimRng::stream(0xBEE5, u64::from(size));
         for i in 0..size {
             let at = SimTime::ZERO + rng.range_duration(SimDuration::ZERO, SPAN);
@@ -286,17 +293,19 @@ fn ladder_matches_heap_on_deep_timer_workload() {
             q.schedule(f.time + ahead, i);
         }
         let base = q.peek_time().unwrap_or(SimTime::ZERO);
-        let fresh: Vec<_> = (0..size / 3)
-            .map(|i| q.schedule(base + rng.range_duration(SimDuration::ZERO, SPAN), i))
-            .collect();
-        for id in fresh {
-            assert!(q.cancel(id), "a freshly scheduled id must be live");
+        for i in 0..size / 3 {
+            q.schedule(
+                base + rng.range_duration(SimDuration::ZERO, SPAN),
+                FRESH + i,
+            );
+            revoked.insert(FRESH + i);
         }
         let held = out.len();
-        while let Some(f) = q.pop() {
+        while let Some(f) = next_live(&revoked, || q.pop()) {
             out.push((f.time.as_nanos(), f.payload as u64));
         }
         assert_eq!(out.len() - held, size as usize, "the live count survives");
+        assert!(q.is_empty(), "every revoked entry popped exactly once");
         out
     }
     let heap = churn::<peas_des::heap_ref::HeapCore<u32>>();

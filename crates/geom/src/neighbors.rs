@@ -169,6 +169,16 @@ impl NeighborTables {
         self.radii.iter().position(|&r| r == radius)
     }
 
+    /// Hands over each class's columns, in build order: `(offsets,
+    /// neighbors, distances)`, with `offsets[i]..offsets[i + 1]` indexing
+    /// node `i`'s row. A caller that keeps the adjacency takes it without
+    /// a copy.
+    pub fn into_columns(self) -> impl Iterator<Item = (Vec<u32>, Vec<u32>, Vec<f64>)> {
+        self.tables
+            .into_iter()
+            .map(|csr| (csr.offsets, csr.neighbors, csr.distances))
+    }
+
     /// Directed edge count of one class.
     ///
     /// # Panics

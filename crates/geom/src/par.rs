@@ -84,8 +84,8 @@ where
         .collect()
 }
 
-/// The per-row columns of a chunked CSR build: one `Vec`, or two parallel
-/// `Vec`s.
+/// The per-row columns of a chunked CSR build: one `Vec`, or two or three
+/// parallel `Vec`s.
 pub trait Columns {
     /// Rows held.
     fn rows(&self) -> usize;
@@ -117,6 +117,24 @@ impl<A: Copy, B: Copy> Columns for (Vec<A>, Vec<B>) {
     fn extend_rows(&mut self, other: &Self) {
         self.0.extend_from_slice(&other.0);
         self.1.extend_from_slice(&other.1);
+    }
+}
+
+impl<A: Copy, B: Copy, C: Copy> Columns for (Vec<A>, Vec<B>, Vec<C>) {
+    fn rows(&self) -> usize {
+        self.0.len()
+    }
+    fn with_capacity(rows: usize) -> Self {
+        (
+            Vec::with_capacity(rows),
+            Vec::with_capacity(rows),
+            Vec::with_capacity(rows),
+        )
+    }
+    fn extend_rows(&mut self, other: &Self) {
+        self.0.extend_from_slice(&other.0);
+        self.1.extend_from_slice(&other.1);
+        self.2.extend_from_slice(&other.2);
     }
 }
 

@@ -20,8 +20,9 @@ pub struct ExploreOutcome {
     pub states: usize,
     /// Transitions taken (including ones landing on known states).
     pub transitions: usize,
-    /// Whether the frontier drained before the `max_states` budget hit:
-    /// only then is the exploration exhaustive over the quotient.
+    /// Whether the frontier drained, with neither the `max_states`
+    /// budget hit nor a safety violation cutting it short: only then is
+    /// the exploration exhaustive over the quotient.
     pub fixpoint: bool,
     /// Longest shortest-path depth over reached states.
     pub max_depth: usize,
@@ -75,7 +76,8 @@ fn fnv_fold(hash: u64, key: &[i64]) -> u64 {
 ///
 /// Deterministic by construction: events are enumerated in a fixed
 /// order, states are numbered in discovery order, and the dedup map is
-/// a [`DetMap`]. Stops at the first invariant violation (safety), or
+/// a [`DetMap`]. Stops at the first invariant violation (safety), with
+/// `states` counting what it had explored and `fixpoint` false, or
 /// after draining the frontier runs liveness cycle detection over the
 /// coverage-hole subgraph.
 ///
@@ -97,6 +99,7 @@ pub fn explore(cfg: &ModelCfg) -> ExploreOutcome {
     let root_key = canon_key(&root);
     outcome.canon_hash = fnv_fold(outcome.canon_hash, &root_key);
     if let Some(violation) = root.check_state() {
+        outcome.fixpoint = false;
         outcome.violation = Some(FoundViolation {
             violation,
             trace: Vec::new(),
@@ -126,6 +129,8 @@ pub fn explore(cfg: &ModelCfg) -> ExploreOutcome {
                 let mut trace = rebuild_trace(&parents, id);
                 trace.push(ev);
                 outcome.violation = Some(FoundViolation { violation, trace });
+                outcome.states = seen.len();
+                outcome.fixpoint = false;
                 return outcome;
             }
             let key = canon_key(&next);
@@ -331,6 +336,9 @@ mod tests {
         let mut cfg = tiny();
         cfg.strict_duplicate_working = true;
         let outcome = explore(&cfg);
+        // A cut-short exploration reports the states it explored.
+        assert!(outcome.states > 1, "states = {}", outcome.states);
+        assert!(!outcome.fixpoint);
         let found = outcome.violation.expect("probe race must be found");
         assert_eq!(found.violation.rule(), "duplicate-working");
         let replayed = replay(&cfg, &found.trace);

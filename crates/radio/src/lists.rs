@@ -1,14 +1,13 @@
 //! Many short lists in one shared slab.
 //!
-//! The medium keeps two families of small per-bucket sets: the on-air
-//! transmissions of each carrier-sense cell, and the overflow arrivals of
-//! each node. Most buckets are empty most of the time, so a heap `Vec` per
-//! bucket would cost a 24-byte header per bucket plus an allocation for
-//! every bucket ever touched. [`BucketLists`] holds a `u32` head per
+//! The medium keeps a small set per node: the second and later frames
+//! arriving there at once. Most are empty most of the time, so a heap
+//! `Vec` per node would cost a 24-byte header per node plus an allocation
+//! for every node ever touched. [`BucketLists`] holds a `u32` head per
 //! bucket instead, with every entry in one slab; removed entries go onto a
 //! free list and are reused, so the slab stays as large as the most
 //! entries ever live at once. Order within a bucket is not part of the
-//! contract: both families are sets.
+//! contract: each list is a set.
 
 /// End of a list: no head or `next` link points here.
 const NIL: u32 = u32::MAX;
@@ -49,7 +48,7 @@ impl<T: Copy> BucketLists<T> {
             let at = u32::try_from(self.slab.len())
                 .ok()
                 .filter(|&at| at != NIL)
-                // peas-lint: allow(r1-unchecked-panic) -- live entries are bounded by in-flight transmissions times the few buckets each one touches, far below u32::MAX
+                // peas-lint: allow(r1-unchecked-panic) -- live entries are bounded by in-flight transmissions times their receivers, far below u32::MAX
                 .expect("bucket-list slab exceeds the u32 index space");
             self.slab.push(link);
             at

@@ -22,21 +22,27 @@
 //! and is relied upon by the differential tests against the brute-force
 //! reference implementation (see `reference.rs`).
 //!
+//! Carrier sense is per node: a broadcast raises a "busy until" instant on
+//! every node within its reach (`distance² <= reach²`), the sender
+//! included, and [`Medium::carrier_busy`] reads one value.
+//!
 //! ## Static-topology fast path
 //!
 //! Nodes never move, so for the handful of transmission ranges the protocol
-//! actually uses (the probing range `Rp`, the data range), the decodable
-//! receiver set of every possible broadcast is known at construction time.
-//! [`Medium::with_range_classes`] precomputes, per range class, a CSR table
-//! of decode rows — receiver id, true distance and effective (shadowed)
-//! distance, already filtered to `eff <= range` and stored in grid candidate
-//! order — built on top of [`peas_geom::NeighborTables`]. A broadcast whose
-//! range matches a class then replays its row as one slice iteration: no
-//! grid scan, no `sqrt`, no per-link shadowing draw. Because the rows keep
-//! candidate order and the filtered-out candidates never consumed loss
-//! draws in the first place, the fast path is RNG-for-RNG identical to the
-//! query path, which [`Medium::set_fast_path`] exposes for differential
-//! tests. Broadcasts at any other range fall back to the live grid query.
+//! actually uses (the probing range `Rp`, the data range), the nodes within
+//! reach of every possible broadcast are known at construction time.
+//! [`Medium::with_range_classes`] keeps, per range class, the
+//! [`peas_geom::NeighborTables`] adjacency at the class's reach as CSR
+//! columns: each sender's decodable receivers (`eff <= range`, in grid
+//! candidate order) with their true distances, and the ids of the other
+//! nodes within reach. Under `Disc` every link decodes at its true
+//! distance, and the adjacency is adopted as it is. A broadcast whose
+//! range matches a class then replays its rows: no grid scan, no `sqrt`,
+//! no per-link shadowing draw. Because the rows keep candidate order and
+//! the filtered-out candidates never consumed loss draws in the first
+//! place, the fast path is RNG-for-RNG identical to the query path, which
+//! [`Medium::set_fast_path`] exposes for differential tests. Broadcasts at
+//! any other range fall back to the live grid query.
 
 use peas_des::rng::SimRng;
 use peas_des::time::{SimDuration, SimTime};
@@ -144,6 +150,17 @@ struct Arrival {
     entry: u32,
 }
 
+/// The channel at one node, in one 16-byte record: the broadcast loop
+/// that raises `busy_until` also writes a receiver's arrival marker.
+#[derive(Clone, Copy, Debug)]
+struct NodeAir {
+    /// The node senses the carrier while `now < busy_until`.
+    busy_until: SimTime,
+    /// The first (usually only) transmission arriving here, its own
+    /// included; `first.slot == NO_ARRIVAL` means none.
+    first: Arrival,
+}
+
 /// One receiver's copy of an in-flight frame.
 #[derive(Clone, Copy, Debug)]
 struct RxEntry {
@@ -161,7 +178,6 @@ struct TxSlot {
     generation: u32,
     active: bool,
     sender: NodeId,
-    end: SimTime,
     receivers: Vec<RxEntry>,
 }
 
@@ -200,118 +216,112 @@ pub(crate) fn bucket_grid(field: Field, cell: f64, positions: &[Point]) -> Spati
     grid
 }
 
-/// One precomputed decodable receiver of a fast-path broadcast.
-#[derive(Clone, Copy, Debug)]
-struct DecodeRow {
-    rx: u32,
-    /// True Euclidean distance of the link.
-    dist: f64,
-    /// Effective (shadowed) distance; `<= range` by construction.
-    eff: f64,
-}
-
-/// One transmission registered in one [`CarrierGrid`] cell.
-#[derive(Clone, Copy, Debug)]
-struct OnAir {
-    sender_pos: Point,
-    reach: f64,
-    end: SimTime,
-}
-
-/// Spatially bucketed carrier-sense index over in-flight transmissions.
-///
-/// Carrier sense asks "is any ongoing transmission audible at `pos` right
-/// now?" — a boolean over the same `sender_pos.within(pos, range)` predicate
-/// regardless of how the candidates are enumerated, so bucketing changes
-/// nothing observable. Each transmission is registered in every cell its
-/// reach disk's bounding box touches; a query then scans only the querying
-/// node's own cell, lazily purging entries whose end time has passed. With
-/// the cell size matched to the largest reach (the same `grid_cell` as the
-/// decode grid) this turns a global `O(all on-air)` scan per send attempt
-/// into an `O(local on-air)` one.
-struct CarrierGrid {
-    cell: f64,
-    cols: usize,
-    rows: usize,
-    cells: BucketLists<OnAir>,
-}
-
-impl CarrierGrid {
-    /// `min_cell` is the decode grid's cell (the largest reach); `nodes`
-    /// bounds the cell count. Carrier-sense contention scales with the
-    /// node count, not the field area, so on a sparse tier (few nodes on
-    /// a big field) a reach-sized grid would be mostly-empty megabytes of
-    /// bucket headers that every insert cache-misses across. Capping the
-    /// grid at ~`nodes` cells keeps it dense at every tier; cells never
-    /// drop below `min_cell`, so a disk still spans O(1) buckets.
-    fn new(field: Field, min_cell: f64, nodes: usize) -> CarrierGrid {
-        let max_side = (nodes.max(16) as f64).sqrt().ceil();
-        let cell = min_cell
-            .max(field.width() / max_side)
-            .max(field.height() / max_side);
-        let cols = (field.width() / cell).ceil().max(1.0) as usize;
-        let rows = (field.height() / cell).ceil().max(1.0) as usize;
-        CarrierGrid {
-            cell,
-            cols,
-            rows,
-            cells: BucketLists::new(cols * rows),
-        }
-    }
-
-    /// Registers a transmission into every cell its reach disk's bounding
-    /// box intersects (clamped to the field).
-    ///
-    /// Each touched cell is purged of expired entries first. Without that,
-    /// entries in cells that are inserted into but rarely queried pile up
-    /// unboundedly (a busy tier retires millions of transmissions);
-    /// purge-on-insert bounds every cell to its live transmission count,
-    /// because a cell only ever grows through an insert.
-    fn insert(&mut self, sender_pos: Point, reach: f64, end: SimTime, now: SimTime) {
-        let x0 = (((sender_pos.x - reach).max(0.0) / self.cell) as usize).min(self.cols - 1);
-        let x1 = (((sender_pos.x + reach) / self.cell) as usize).min(self.cols - 1);
-        let y0 = (((sender_pos.y - reach).max(0.0) / self.cell) as usize).min(self.rows - 1);
-        let y1 = (((sender_pos.y + reach) / self.cell) as usize).min(self.rows - 1);
-        for cy in y0..=y1 {
-            for cx in x0..=x1 {
-                let cell = cy * self.cols + cx;
-                self.cells.retain(cell, |e| e.end > now);
-                self.cells.push(
-                    cell,
-                    OnAir {
-                        sender_pos,
-                        reach,
-                        end,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Whether any live transmission reaches `pos` at time `now`.
-    ///
-    /// The queried cell's expired entries are purged first.
-    fn busy_at(&mut self, pos: Point, now: SimTime) -> bool {
-        let cx = ((pos.x / self.cell) as usize).min(self.cols - 1);
-        let cy = ((pos.y / self.cell) as usize).min(self.rows - 1);
-        let cell = cy * self.cols + cx;
-        self.cells.retain(cell, |e| e.end > now);
-        self.cells
-            .iter(cell)
-            .any(|e| e.sender_pos.within(pos, e.reach))
-    }
-}
-
-/// Per-range-class CSR of decode rows: `offsets[i]..offsets[i + 1]` indexes
-/// sender `i`'s decodable receivers in grid candidate order.
-struct DecodeTable {
+/// One declared range class: every sender's neighborhood at the class's
+/// reach, as CSR columns.
+#[derive(Default)]
+struct RangeClass {
     range: f64,
     /// The model's physical reach for this class, cached at build time so
     /// class-matching broadcasts never touch the (dynamically dispatched)
     /// propagation model on the hot path.
     reach: f64,
+    /// `offsets[i]..offsets[i + 1]` indexes sender `i`'s decodable links
+    /// in `rx`, `dist` (true distance) and `eff` (effective distance,
+    /// empty when every one equals `dist`), in grid candidate order.
     offsets: Vec<u32>,
-    rows: Vec<DecodeRow>,
+    rx: Vec<u32>,
+    dist: Vec<f64>,
+    eff: Vec<f64>,
+    /// The same for the nodes within reach that never decode the sender;
+    /// both empty when the class adopted the adjacency.
+    sense_offsets: Vec<u32>,
+    sense_only: Vec<u32>,
+}
+
+impl RangeClass {
+    /// Narrows one class of the adjacency (`offsets`, `ids`, `dists`, in
+    /// candidate order) through `model` to the links that decode at
+    /// `range`. `effective_distance` is a pure per-link function (the
+    /// trait's documented contract), so chunk-order splicing is
+    /// byte-identical to a serial pass.
+    fn narrow(
+        (offsets, ids, dists): (Vec<u32>, Vec<u32>, Vec<f64>),
+        range: f64,
+        reach: f64,
+        model: &dyn PropagationModel,
+        positions: &[Point],
+    ) -> RangeClass {
+        let n = offsets.len() - 1;
+        let workers = peas_geom::par::build_workers(n);
+        // Each link of sender `i`'s row with its effective distance.
+        let links = |i: usize| {
+            let (ids, dists) = (&ids, &dists);
+            (offsets[i] as usize..offsets[i + 1] as usize).map(move |k| {
+                let link = Link {
+                    tx: NodeId::from_index(i),
+                    rx: NodeId(ids[k]),
+                    tx_pos: positions[i],
+                    rx_pos: positions[ids[k] as usize],
+                    distance: dists[k],
+                };
+                (k, model.effective_distance(link))
+            })
+        };
+        // Every link decoding at its true distance (always, under `Disc`)
+        // lets the class adopt the adjacency's columns as they are.
+        let exact = peas_geom::par::chunked_build(n, workers, |span| {
+            span.flat_map(links)
+                .all(|(k, eff)| eff == dists[k] && eff <= range)
+        });
+        if exact.into_iter().all(|chunk| chunk) {
+            return RangeClass {
+                range,
+                reach,
+                offsets,
+                rx: ids,
+                dist: dists,
+                ..RangeClass::default()
+            };
+        }
+        let chunks = peas_geom::par::chunked_build(n, workers, |span| {
+            let (mut decode, mut decode_ends) = ((Vec::new(), Vec::new(), Vec::new()), Vec::new());
+            let (mut sense, mut sense_ends) = (Vec::new(), Vec::new());
+            for i in span {
+                for (k, eff) in links(i) {
+                    if eff <= range {
+                        decode.0.push(ids[k]);
+                        decode.1.push(dists[k]);
+                        decode.2.push(eff);
+                    } else {
+                        sense.push(ids[k]);
+                    }
+                }
+                decode_ends.push(decode.0.len());
+                sense_ends.push(sense.len());
+            }
+            ((decode, decode_ends), (sense, sense_ends))
+        });
+        let (decode, sense): (Vec<_>, Vec<_>) = chunks.into_iter().unzip();
+        let (offsets, (rx, dist, eff)) = peas_geom::par::join_chunks(decode, "links in one class");
+        let (sense_offsets, sense_only) = peas_geom::par::join_chunks(sense, "links in one class");
+        RangeClass {
+            range,
+            reach,
+            offsets,
+            rx,
+            eff: if eff == dist { Vec::new() } else { eff },
+            dist,
+            sense_offsets,
+            sense_only,
+        }
+    }
+
+    /// Bytes of the class's columns.
+    fn memory_bytes(&self) -> usize {
+        let u32s = self.offsets.len() + self.rx.len() + self.sense_offsets.len();
+        (u32s + self.sense_only.len()) * std::mem::size_of::<u32>()
+            + (self.dist.len() + self.eff.len()) * std::mem::size_of::<f64>()
+    }
 }
 
 /// The broadcast medium shared by all nodes of one network.
@@ -337,33 +347,29 @@ pub struct Medium {
     field: Field,
     positions: Vec<Point>,
     /// Bucket grid of the live query path. Declared range classes replay
-    /// decode rows instead, so the grid is built on the first broadcast
+    /// their columns instead, so the grid is built on the first broadcast
     /// that needs it, and a run that only uses its classes never holds it.
     grid: Option<SpatialGrid>,
     grid_cell: f64,
     model: Box<dyn PropagationModel>,
     bitrate_bps: u64,
     loss_rate: f64,
-    /// Precomputed decode rows, one table per declared range class.
-    tables: Vec<DecodeTable>,
+    /// One entry per declared range class.
+    classes: Vec<RangeClass>,
     /// When false, class-matching broadcasts use the live grid query even
-    /// though a table exists (differential-testing hook).
+    /// though a class exists (differential-testing hook).
     fast_path: bool,
     /// Slot-indexed in-flight transmissions; inactive slots are listed in
     /// `free` and recycled by the next broadcast.
     slots: Vec<TxSlot>,
     free: Vec<u32>,
-    /// Per node: the first (usually only) transmission currently arriving
-    /// there (plus its own), inline so the common zero/one-arrival case is
-    /// a single flat-array access; `slot == NO_ARRIVAL` means none. The
+    /// Per node: carrier-sense horizon and first arrival. The arrival
     /// list's internal order is unobservable — corruption marks every
     /// entry and removal is by membership — so the first/overflow split
     /// changes nothing.
-    arrivals_first: Vec<Arrival>,
+    air: Vec<NodeAir>,
     /// Rare overflow: second and later concurrent arrivals per node.
     arrivals_more: BucketLists<Arrival>,
-    /// Ongoing transmissions for carrier sensing, bucketed by cell.
-    on_air: CarrierGrid,
     /// Reused buffer for the in-reach candidates of one broadcast.
     scratch: Vec<(usize, Point)>,
     stats: MediumStats,
@@ -393,13 +399,13 @@ impl Medium {
         Medium::with_range_classes(field, positions, model, bitrate_bps, loss_rate, &[])
     }
 
-    /// Creates a medium that precomputes the decodable receiver set of every
-    /// (sender, range class) pair, so broadcasts at exactly one of the
-    /// declared `classes` ranges replay a flat decode row instead of running
-    /// a spatial query (see the module-level *Static-topology fast path*
-    /// notes). Class matching is exact `f64` equality — pass the same
-    /// configured constants you will later hand to
-    /// [`Medium::start_broadcast`].
+    /// Creates a medium that precomputes, for every (sender, range class)
+    /// pair, the nodes within reach and which of them decode, so
+    /// broadcasts at exactly one of the declared `classes` ranges replay
+    /// flat rows instead of running a spatial query (see the module-level
+    /// *Static-topology fast path* notes). Class matching is exact `f64`
+    /// equality — pass the same configured constants you will later hand
+    /// to [`Medium::start_broadcast`].
     ///
     /// The bucket grid's cell size is derived from the classes (the largest
     /// [`PropagationModel::max_reach`] over them) rather than hardcoded, so
@@ -432,55 +438,18 @@ impl Medium {
 
         // Physical adjacency at each class's maximum reach, rows in grid
         // candidate order. The bucket grid is dropped once the adjacency
-        // exists.
+        // exists, and each class takes over its adjacency's columns.
         let reaches: Vec<f64> = classes.iter().map(|&r| model.max_reach(r)).collect();
         let adjacency = NeighborTables::build(
             &bucket_grid(field, grid_cell, positions),
             positions,
             &reaches,
         );
-        // Narrow each physical edge through the propagation model to the
-        // decodable set, exactly as the query path would per broadcast.
-        // Large topologies narrow on the same bounded chunk pool the
-        // adjacency build uses; `effective_distance` is a pure per-link
-        // function (the trait's documented contract), so chunk-order
-        // splicing is byte-identical to a serial pass.
-        let workers = peas_geom::par::build_workers(positions.len());
-        let tables = classes
-            .iter()
-            .enumerate()
-            .map(|(class, &range)| {
-                let model = &model;
-                let chunks = peas_geom::par::chunked_build(positions.len(), workers, |span| {
-                    let mut rows = Vec::new();
-                    let mut row_ends = Vec::with_capacity(span.len());
-                    for i in span {
-                        let ids = adjacency.neighbors(class, i);
-                        let dists = adjacency.distances(class, i);
-                        for (&j, &dist) in ids.iter().zip(dists) {
-                            let eff = model.effective_distance(Link {
-                                tx: NodeId::from_index(i),
-                                rx: NodeId(j),
-                                tx_pos: positions[i],
-                                rx_pos: positions[j as usize],
-                                distance: dist,
-                            });
-                            if eff <= range {
-                                rows.push(DecodeRow { rx: j, dist, eff });
-                            }
-                        }
-                        row_ends.push(rows.len());
-                    }
-                    (rows, row_ends)
-                });
-                let (offsets, rows) =
-                    peas_geom::par::join_chunks(chunks, "decode rows in one class");
-                DecodeTable {
-                    range,
-                    reach: model.max_reach(range),
-                    offsets,
-                    rows,
-                }
+        let classes = adjacency
+            .into_columns()
+            .zip(classes.iter().zip(reaches))
+            .map(|(columns, (&range, reach))| {
+                RangeClass::narrow(columns, range, reach, &model, positions)
             })
             .collect();
 
@@ -492,26 +461,28 @@ impl Medium {
             model: Box::new(model),
             bitrate_bps,
             loss_rate,
-            tables,
+            classes,
             fast_path: true,
             slots: Vec::new(),
             free: Vec::new(),
-            arrivals_first: vec![
-                Arrival {
-                    slot: NO_ARRIVAL,
-                    entry: 0,
+            air: vec![
+                NodeAir {
+                    busy_until: SimTime::ZERO,
+                    first: Arrival {
+                        slot: NO_ARRIVAL,
+                        entry: 0,
+                    },
                 };
                 positions.len()
             ],
             arrivals_more: BucketLists::new(positions.len()),
-            on_air: CarrierGrid::new(field, grid_cell, positions.len()),
             scratch: Vec::new(),
             stats: MediumStats::default(),
         }
     }
 
-    /// Enables or disables the precomputed decode-row fast path. Defaults to
-    /// enabled; disabling forces every broadcast through the live grid
+    /// Enables or disables the precomputed range-class fast path. Defaults
+    /// to enabled; disabling forces every broadcast through the live grid
     /// query. The two paths are RNG-for-RNG identical (same receivers, same
     /// draw order), so this only exists for differential tests and
     /// benchmarking the query path.
@@ -527,21 +498,16 @@ impl Medium {
 
     /// Number of precomputed range classes.
     pub fn range_class_count(&self) -> usize {
-        self.tables.len()
+        self.classes.len()
     }
 
-    /// Bytes of precomputed decode-table payload across all range classes:
-    /// offsets plus one [`DecodeRow`]-sized entry per decodable (sender,
-    /// receiver) pair. The scale bench reports this as part of the
-    /// per-topology memory budget.
+    /// Bytes of the precomputed range-class columns: per class, `u32`
+    /// offsets, a `u32` id and an `f64` distance per decodable link, an
+    /// `f64` effective distance per decodable link where the model moves
+    /// any, and a `u32` id per node within reach that never decodes.
+    /// `perf` reports this as part of the per-topology memory budget.
     pub fn table_memory_bytes(&self) -> usize {
-        self.tables
-            .iter()
-            .map(|t| {
-                t.offsets.len() * std::mem::size_of::<u32>()
-                    + t.rows.len() * std::mem::size_of::<DecodeRow>()
-            })
-            .sum()
+        self.classes.iter().map(RangeClass::memory_bytes).sum()
     }
 
     /// Number of nodes on this medium.
@@ -554,15 +520,10 @@ impl Medium {
         &self.positions
     }
 
-    /// The propagation model in use.
-    pub fn model(&self) -> &dyn PropagationModel {
-        &*self.model
-    }
-
     /// Whether `node` would sense the channel busy at `now` (some ongoing
     /// transmission is audible at its position).
-    pub fn carrier_busy(&mut self, node: NodeId, now: SimTime) -> bool {
-        self.on_air.busy_at(self.positions[node.index()], now)
+    pub fn carrier_busy(&self, node: NodeId, now: SimTime) -> bool {
+        self.air[node.index()].busy_until > now
     }
 
     /// Starts a broadcast from `sender` with transmission power chosen to
@@ -595,7 +556,6 @@ impl Medium {
                 s.generation = s.generation.wrapping_add(1);
                 s.active = true;
                 s.sender = sender;
-                s.end = end;
                 s.receivers.clear();
                 slot
             }
@@ -608,7 +568,6 @@ impl Medium {
                     generation: 0,
                     active: true,
                     sender,
-                    end,
                     receivers: Vec::new(),
                 });
                 // peas-lint: allow(r3-unchecked-cast) -- live slots are bounded by in-flight transmissions, one per node
@@ -617,34 +576,41 @@ impl Medium {
         };
         let id = TxId::pack(slot, self.slots[slot as usize].generation);
 
-        let sender_pos = self.positions[sender.index()];
         // Classified ranges reuse the reach cached at table build, so the
         // per-broadcast fast path never dispatches into the propagation
         // model; only unclassified fallback ranges pay the virtual call.
-        let class = self.tables.iter().position(|t| t.range == intended_range);
+        let class = self.classes.iter().position(|c| c.range == intended_range);
         let reach = match class {
-            Some(c) => self.tables[c].reach,
+            Some(c) => self.classes[c].reach,
             None => self.model.max_reach(intended_range),
         };
         let class = class.filter(|_| self.fast_path);
         // Sender occupies its own radio (half-duplex): its entry corrupts
         // any frame arriving during this transmission.
-        self.note_arrival(slot, SENDER_ENTRY, sender);
+        self.note_sender(slot, sender, end);
         // Take the receiver list out of the slot so `push_receiver` can
         // borrow `self` mutably; no entry of the list can be reached through
-        // `self.arrivals` while it is detached (each receiver is registered
-        // at most once per transmission, and only after its entry exists).
+        // `self.air` while it is detached (each receiver is registered at
+        // most once per transmission, and only after its entry exists).
         let mut receivers = std::mem::take(&mut self.slots[slot as usize].receivers);
-        if let Some(class) = class {
-            // Fast path: replay the precomputed decode row. Same receivers,
-            // same order, same loss draws as the query path below.
-            let lo = self.tables[class].offsets[sender.index()] as usize;
-            let hi = self.tables[class].offsets[sender.index() + 1] as usize;
-            for k in lo..hi {
-                let row = self.tables[class].rows[k];
-                self.push_receiver(slot, &mut receivers, NodeId(row.rx), row.dist, row.eff, rng);
+        let i = sender.index();
+        if let Some(c) = class {
+            // Fast path: replay the class's rows. Same receivers, same
+            // order, same loss draws as the query path below.
+            for k in self.classes[c].offsets[i] as usize..self.classes[c].offsets[i + 1] as usize {
+                let class = &self.classes[c];
+                let (rx, dist) = (class.rx[k], class.dist[k]);
+                let eff = class.eff.get(k).copied().unwrap_or(dist);
+                self.push_receiver(slot, &mut receivers, NodeId(rx), dist, eff, end, rng);
+            }
+            let class = &self.classes[c];
+            if let Some(span) = class.sense_offsets.get(i..i + 2) {
+                for &j in &class.sense_only[span[0] as usize..span[1] as usize] {
+                    raise_busy(&mut self.air[j as usize], end);
+                }
             }
         } else {
+            let sender_pos = self.positions[i];
             let mut in_reach = std::mem::take(&mut self.scratch);
             in_reach.clear();
             let grid = self
@@ -652,8 +618,8 @@ impl Medium {
                 .get_or_insert_with(|| bucket_grid(self.field, self.grid_cell, &self.positions));
             in_reach.extend(grid.within_entries(sender_pos, reach));
             for &(idx, pos) in &in_reach {
-                if idx == sender.index() {
-                    continue;
+                if idx == i {
+                    continue; // `note_sender` covered the sender
                 }
                 let rx = NodeId::from_index(idx);
                 let dist = sender_pos.distance(pos);
@@ -665,14 +631,15 @@ impl Medium {
                     distance: dist,
                 });
                 if eff > intended_range {
-                    continue; // too weak to decode at this power level
+                    // Too weak to decode at this power level, but audible.
+                    raise_busy(&mut self.air[idx], end);
+                    continue;
                 }
-                self.push_receiver(slot, &mut receivers, rx, dist, eff, rng);
+                self.push_receiver(slot, &mut receivers, rx, dist, eff, end, rng);
             }
             self.scratch = in_reach;
         }
         self.slots[slot as usize].receivers = receivers;
-        self.on_air.insert(sender_pos, reach, end, now);
         Transmission {
             id,
             airtime: duration,
@@ -681,9 +648,10 @@ impl Medium {
     }
 
     /// Registers `rx` as a decodable receiver of the transmission in `slot`
-    /// (whose receiver list is detached as `receivers`): draws the loss
-    /// process, marks overlap corruption in both directions, and appends the
-    /// entry plus its arrival marker.
+    /// (whose receiver list is detached as `receivers`), on the air until
+    /// `end`: draws the loss process, marks overlap corruption in both
+    /// directions, and appends the entry plus its arrival marker.
+    #[allow(clippy::too_many_arguments)]
     fn push_receiver(
         &mut self,
         slot: u32,
@@ -691,13 +659,15 @@ impl Medium {
         rx: NodeId,
         dist: f64,
         eff: f64,
+        end: SimTime,
         rng: &mut SimRng,
     ) {
         let lost = rng.bernoulli(self.loss_rate);
         let n = rx.index();
+        raise_busy(&mut self.air[n], end);
         // All stored arrivals still have end > "now" (completed ones are
         // removed at their end instant), so any existing entry overlaps.
-        let corrupted = self.arrivals_first[n].slot != NO_ARRIVAL;
+        let corrupted = self.air[n].first.slot != NO_ARRIVAL;
         if corrupted {
             self.corrupt_existing(n);
         }
@@ -720,28 +690,31 @@ impl Medium {
         });
     }
 
-    /// Registers that transmission `slot` is arriving at `node` (as receiver
-    /// entry `entry`, or as the sender itself), corrupting any overlap in
-    /// both directions.
-    fn note_arrival(&mut self, slot: u32, entry: u32, node: NodeId) {
-        let n = node.index();
+    /// Registers that `sender` transmits in `slot` until `end`: its own
+    /// radio is busy, and its slot occupation corrupts any frame arriving
+    /// there. Corruption of a sender's own occupation has no observable
+    /// effect (the sender hears nothing anyway), so only receiver entries
+    /// carry the flag.
+    fn note_sender(&mut self, slot: u32, sender: NodeId, end: SimTime) {
+        let n = sender.index();
+        raise_busy(&mut self.air[n], end);
         // All stored arrivals still have end > "now" (completed ones are
         // removed at their end instant), so any existing entry overlaps.
-        // Corruption of a sender's own slot occupation has no observable
-        // effect (the sender hears nothing anyway), so only receiver
-        // entries carry the flag.
-        if self.arrivals_first[n].slot != NO_ARRIVAL {
+        if self.air[n].first.slot != NO_ARRIVAL {
             self.corrupt_existing(n);
-            if entry != SENDER_ENTRY {
-                self.slots[slot as usize].receivers[entry as usize].corrupted = true;
-            }
         }
-        self.push_arrival(n, Arrival { slot, entry });
+        self.push_arrival(
+            n,
+            Arrival {
+                slot,
+                entry: SENDER_ENTRY,
+            },
+        );
     }
 
     /// Marks every receiver entry currently arriving at node `n` corrupted.
     fn corrupt_existing(&mut self, n: usize) {
-        let first = self.arrivals_first[n];
+        let first = self.air[n].first;
         if first.entry != SENDER_ENTRY {
             self.slots[first.slot as usize].receivers[first.entry as usize].corrupted = true;
         }
@@ -755,8 +728,8 @@ impl Medium {
     /// Appends an arrival marker for node `n`: into the inline slot when
     /// free, the overflow list otherwise.
     fn push_arrival(&mut self, n: usize, a: Arrival) {
-        if self.arrivals_first[n].slot == NO_ARRIVAL {
-            self.arrivals_first[n] = a;
+        if self.air[n].first.slot == NO_ARRIVAL {
+            self.air[n].first = a;
         } else {
             self.arrivals_more.push(n, a);
         }
@@ -765,10 +738,10 @@ impl Medium {
     /// Drops `node`'s arrival marker for `slot` (order-insensitive).
     fn remove_arrival(&mut self, node: NodeId, slot: u32) {
         let n = node.index();
-        if self.arrivals_first[n].slot == slot {
+        if self.air[n].first.slot == slot {
             // Promote any overflow entry into the inline slot; which one is
             // immaterial (the list is a set).
-            self.arrivals_first[n] = self.arrivals_more.pop(n).unwrap_or(Arrival {
+            self.air[n].first = self.arrivals_more.pop(n).unwrap_or(Arrival {
                 slot: NO_ARRIVAL,
                 entry: 0,
             });
@@ -777,7 +750,6 @@ impl Medium {
         let removed = self.arrivals_more.retain(n, |a| a.slot != slot);
         assert_eq!(removed, 1, "arrival bookkeeping out of sync");
     }
-
     /// Completes a transmission, reporting every physical receiver's
     /// outcome. Must be called exactly once per started broadcast, at (or
     /// after) its `end` time.
@@ -851,6 +823,11 @@ impl std::fmt::Debug for Medium {
             .field("stats", &self.stats)
             .finish()
     }
+}
+
+/// Keeps `air` busy until at least `end`.
+fn raise_busy(air: &mut NodeAir, end: SimTime) {
+    air.busy_until = air.busy_until.max(end);
 }
 
 #[cfg(test)]
@@ -1174,6 +1151,23 @@ mod tests {
         let plain = Medium::new(field, &positions, Disc, 20_000, 0.0);
         assert_eq!(plain.grid_cell(), DEFAULT_GRID_CELL);
         assert_eq!(plain.range_class_count(), 0);
+    }
+
+    #[test]
+    fn disc_classes_adopt_the_adjacency() {
+        let positions: Vec<Point> = (0..40).map(|i| Point::new(i as f64 / 2.0, 1.0)).collect();
+        let (field, classes) = (Field::new(20.0, 5.0), [3.0, 10.0]);
+        let grid = bucket_grid(field, 10.0, &positions);
+        let adjacency = NeighborTables::build(&grid, &positions, &classes);
+        let disc = Medium::with_range_classes(field, &positions, Disc, 20_000, 0.0, &classes);
+        // Ids and distances only: every node within reach decodes.
+        assert_eq!(disc.table_memory_bytes(), adjacency.memory_bytes());
+        // Shadowing reaches past the range: the rest cost only an id.
+        let shadow = LogNormalShadowing::with_defaults(1);
+        let shadowed = Medium::with_range_classes(field, &positions, shadow, 20_000, 0.0, &classes);
+        let class = &shadowed.classes[0];
+        assert!(!class.sense_only.is_empty());
+        assert_eq!(class.eff.len(), class.rx.len());
     }
 
     #[test]

@@ -79,7 +79,7 @@ impl ReferenceMedium {
     /// reference's candidate enumeration order — and therefore its RNG
     /// stream — stays aligned with the production medium's. The reference
     /// deliberately keeps querying the grid live instead of precomputing
-    /// decode rows; that independence is the point of the oracle.
+    /// range-class rows; that independence is the point of the oracle.
     ///
     /// # Panics
     ///

@@ -170,7 +170,7 @@ proptest! {
     }
 
     /// Differential test: the dense slot-recycling [`Medium`] — including
-    /// its precomputed decode-row fast path — must produce exactly the
+    /// its precomputed range-class fast path — must produce exactly the
     /// delivery vectors of the retained brute-force [`ReferenceMedium`]
     /// oracle when both are driven through the same chronological schedule
     /// of overlapping broadcasts with identically-seeded RNGs — across

@@ -55,16 +55,6 @@ fn mode_rank(mode: Mode) -> usize {
     }
 }
 
-/// Dense index for the per-sensor timer table.
-fn timer_index(timer: PeasTimer) -> usize {
-    match timer {
-        PeasTimer::Wake => 0,
-        PeasTimer::ProbeSend => 1,
-        PeasTimer::ReplyWindow => 2,
-        PeasTimer::ReplyBackoff => 3,
-    }
-}
-
 /// The single checked `usize → u32` conversion for node indices. Node
 /// ids travel as `u32` in event payloads, [`NodeId`]s and CSR rows;
 /// [`ScenarioConfig::validate`] bounds `node_count` below the id space
@@ -100,8 +90,13 @@ struct SendJob {
 #[derive(Clone, Copy, Debug)]
 #[allow(clippy::enum_variant_names)] // SensorEvent is the domain term
 enum Event {
-    /// A PEAS timer fired for a sensor.
-    NodeTimer { node: u32, timer: PeasTimer },
+    /// A PEAS timer fired for a sensor; stale unless `generation` is
+    /// still its class's (see [`TimerTable`]).
+    NodeTimer {
+        node: u32,
+        timer: PeasTimer,
+        generation: u32,
+    },
     /// Try to put a frame on the air (fresh, carrier-backoff or
     /// GRAB-delayed); the fat [`SendJob`] sits in the arena.
     SendAttempt { job: u32 },
@@ -119,90 +114,47 @@ enum Event {
     Sample,
 }
 
-/// Flat per-node timer slots: `3 + probe_count` [`EventId`]s per node in
-/// one contiguous vector, laid out `[Wake, ReplyWindow, ReplyBackoff,
-/// ProbeSend × probe_count]`. The PEAS machine keeps at most one Wake,
-/// one ReplyWindow and one ReplyBackoff pending, and at most
-/// `probe_count` ProbeSends per wake burst, so the slots almost never
-/// overflow; the rare overlap (a stale burst still draining when a new
-/// one starts) spills losslessly into a short side list. Replaces four
-/// heap-allocated `Vec<EventId>`s per node — 1M nodes would have carried
-/// 4M vector headers plus their allocations.
+/// Timer cancellation: one `u32` generation per node and timer class.
+/// A scheduled [`Event::NodeTimer`] carries its class's generation, and
+/// cancelling the class (a PEAS `Cancel` action, or a death) bumps it, so
+/// every timer of that class already in the queue becomes stale. The
+/// event loop drops a stale timer when it pops, before any handler runs
+/// and without counting it. A timer armed after the cancel carries the
+/// new generation and fires; one that already fired is gone from the
+/// queue, so a later cancel cannot reach it. The queue itself never
+/// learns of cancellation. A stale timer would alias only after 2³²
+/// cancels of one class while it was pending.
 struct TimerTable {
-    slots: Vec<EventId>,
-    stride: usize,
-    /// Overflow `(node, class, id)` entries; order is irrelevant (lazy
-    /// cancellation only tombstones ids).
-    spill: Vec<(u32, u8, EventId)>,
+    generations: Vec<[u32; 4]>,
 }
 
 impl TimerTable {
-    fn new(nodes: usize, probe_count: usize) -> TimerTable {
-        let stride = 3 + probe_count;
+    fn new(nodes: usize) -> TimerTable {
         TimerTable {
-            slots: vec![EventId::NONE; nodes * stride],
-            stride,
-            spill: Vec::new(),
+            generations: vec![[0; 4]; nodes],
         }
     }
 
-    /// The slot range of `class` (a [`timer_index`]) within one node.
-    fn class_range(&self, class: usize) -> std::ops::Range<usize> {
-        match class {
-            0 => 0..1,           // Wake
-            2 => 1..2,           // ReplyWindow
-            3 => 2..3,           // ReplyBackoff
-            _ => 3..self.stride, // ProbeSend
+    /// The event that fires `timer` for `node` under its class's current
+    /// generation.
+    fn event(&self, node: u32, timer: PeasTimer) -> Event {
+        Event::NodeTimer {
+            node,
+            timer,
+            generation: self.generations[node as usize][timer as usize],
         }
     }
 
-    fn insert(&mut self, node: u32, class: usize, id: EventId) {
-        let base = node as usize * self.stride;
-        let range = self.class_range(class);
-        for s in &mut self.slots[base + range.start..base + range.end] {
-            if s.is_none() {
-                *s = id;
-                return;
-            }
-        }
-        // peas-lint: allow(r3-unchecked-cast) -- timer classes are a fixed handful, far below u8
-        self.spill.push((node, class as u8, id));
+    /// Makes every pending `timer` of `node` stale.
+    fn cancel(&mut self, node: u32, timer: PeasTimer) {
+        let generation = &mut self.generations[node as usize][timer as usize];
+        *generation = generation.wrapping_add(1);
     }
 
-    /// Clears the slot holding `id` (a timer that just fired).
-    fn remove(&mut self, node: u32, class: usize, id: EventId) {
-        let base = node as usize * self.stride;
-        let range = self.class_range(class);
-        for s in &mut self.slots[base + range.start..base + range.end] {
-            if *s == id {
-                *s = EventId::NONE;
-                return;
-            }
-        }
-        if let Some(pos) = self.spill.iter().position(|&(_, _, sid)| sid == id) {
-            self.spill.swap_remove(pos);
-        }
-    }
-
-    /// Takes every pending id of `class`, feeding each to `cancel`.
-    fn cancel_class(&mut self, node: u32, class: usize, mut cancel: impl FnMut(EventId)) {
-        let base = node as usize * self.stride;
-        let range = self.class_range(class);
-        for s in &mut self.slots[base + range.start..base + range.end] {
-            if !s.is_none() {
-                cancel(std::mem::replace(s, EventId::NONE));
-            }
-        }
-        let mut i = 0;
-        while i < self.spill.len() {
-            let (n, c, id) = self.spill[i];
-            if n == node && c as usize == class {
-                cancel(id);
-                self.spill.swap_remove(i);
-            } else {
-                i += 1;
-            }
-        }
+    /// Whether a fired `timer` of `node` was armed under its class's
+    /// current generation.
+    fn is_current(&self, node: u32, timer: PeasTimer, generation: u32) -> bool {
+        self.generations[node as usize][timer as usize] == generation
     }
 }
 
@@ -226,7 +178,7 @@ struct NodeStore {
     baseline_paid_until: Vec<SimTime>,
     /// The node's radio is transmitting until this instant.
     tx_busy_until: Vec<SimTime>,
-    /// Pending timer events for every node.
+    /// Timer generations for every node.
     timers: TimerTable,
 }
 
@@ -311,6 +263,8 @@ pub struct World {
     /// can never perturb the golden fingerprints.
     event_reports: DetSet<(u32, u64)>,
     events_delivered: u64,
+    /// Events handled; stale timers are dropped uncounted.
+    events_processed: u64,
     trace: Option<Box<dyn TraceSink>>,
     finished: bool,
 }
@@ -351,7 +305,7 @@ impl World {
 
         // The two transmission ranges the whole run will ever use: PEAS
         // control traffic and (when enabled) GRAB data traffic. Declaring
-        // them lets the medium precompute per-sender decode rows.
+        // them lets the medium precompute per-sender rows.
         let mut range_classes = vec![config.peas.control_tx_range()];
         if let Some(g) = &config.grab {
             if !range_classes.contains(&g.data_range) {
@@ -379,7 +333,7 @@ impl World {
             last_account: vec![SimTime::ZERO; n],
             baseline_paid_until: vec![SimTime::ZERO; n],
             tx_busy_until: vec![SimTime::ZERO; n],
-            timers: TimerTable::new(n, config.peas.probe_count as usize),
+            timers: TimerTable::new(n),
         };
         let peas_config = Arc::new(config.peas.clone());
         for i in 0..n {
@@ -397,14 +351,7 @@ impl World {
             let actions = peas.start(&mut rng);
             for action in actions {
                 if let PeasAction::Schedule { timer, after } = action {
-                    let id = sim.schedule_after(
-                        after,
-                        Event::NodeTimer {
-                            node: node_u32(i),
-                            timer,
-                        },
-                    );
-                    nodes.timers.insert(node_u32(i), timer_index(timer), id);
+                    sim.schedule_after(after, nodes.timers.event(node_u32(i), timer));
                 }
             }
             nodes.peas.push(peas);
@@ -491,6 +438,7 @@ impl World {
             event_stats: (0, 0, 0),
             event_reports: DetSet::new(),
             events_delivered: 0,
+            events_processed: 0,
             trace: None,
             finished: false,
             cfg: config,
@@ -525,16 +473,24 @@ impl World {
     }
 
     /// The shared event loop: delivers every event before `stop` (or
-    /// until `finished` flips). Each iteration is one fused probe of the
-    /// queue's sorted bottom rung (`Simulator::next_before` →
-    /// `EventQueue::pop_before`), so a drained batch of same-timestamp
-    /// events streams straight off the rung's tail — no peek-then-pop
-    /// double touch per event. Liveness is still checked per event at
-    /// consumption time: a handler may cancel a later event scheduled
-    /// for this same instant, so eager batch extraction would be wrong.
+    /// until `finished` flips). A node timer whose class was cancelled
+    /// since it was armed is dropped here, unhandled and uncounted. Its
+    /// staleness is checked when it pops, not earlier: a handler may
+    /// cancel a later timer due at this same instant.
     fn drain_before(&mut self, stop: SimTime) {
         while let Some(fired) = self.sim.next_before(stop) {
-            self.handle(fired.time, fired.id, fired.payload);
+            if let Event::NodeTimer {
+                node,
+                timer,
+                generation,
+            } = fired.payload
+            {
+                if !self.nodes.timers.is_current(node, timer, generation) {
+                    continue;
+                }
+            }
+            self.events_processed += 1;
+            self.handle(fired.time, fired.payload);
             if self.finished {
                 return;
             }
@@ -672,8 +628,8 @@ impl World {
         totals
     }
 
-    /// Bytes of precomputed static-topology tables: the medium's per-class
-    /// decode rows plus the coverage CSR. These are the O(n · degree)
+    /// Bytes of precomputed static-topology tables: the medium's
+    /// range-class columns plus the coverage CSR. These are the O(n · degree)
     /// structures the memory budget at 10⁵–10⁶ nodes is dominated by (see
     /// DESIGN.md's memory model); the scale bench reports this next to
     /// peak RSS.
@@ -681,17 +637,17 @@ impl World {
         self.medium.table_memory_bytes() + self.coverage_csr.memory_bytes()
     }
 
-    /// Largest number of simultaneously pending events the event queue
-    /// ever held (tombstones excluded). The scale bench reports this per
-    /// tier: pending depth — roughly one timer per probing/working node
-    /// plus in-flight frames — is what sizes the queue's working set.
+    /// Largest number of events the event queue ever held at once,
+    /// stale timers included: a cancelled timer stays queued until its
+    /// time comes. `perf` reports this per workload: pending depth —
+    /// roughly one timer per probing or working node, plus in-flight
+    /// frames — is what sizes the queue's working set.
     pub fn queue_high_water(&self) -> usize {
         self.sim.queue_high_water()
     }
 
-    /// Approximate heap bytes currently held by the pending-event queue
-    /// (ladder rungs/bottom/top plus the pending bitvector; see
-    /// DESIGN.md §8).
+    /// Approximate heap bytes currently held by the event queue (ladder
+    /// rungs, bottom, top and spare buckets; see DESIGN.md §8).
     pub fn queue_memory_bytes(&self) -> usize {
         self.sim.queue_memory_bytes()
     }
@@ -744,13 +700,13 @@ impl World {
             events_detected: self.event_stats.1,
             events_delivered: self.events_delivered,
             end_secs: now.as_secs_f64(),
-            events_processed: self.sim.processed(),
+            events_processed: self.events_processed,
         }
     }
 
-    fn handle(&mut self, now: SimTime, fired_id: EventId, event: Event) {
+    fn handle(&mut self, now: SimTime, event: Event) {
         match event {
-            Event::NodeTimer { node, timer } => self.on_node_timer(now, fired_id, node, timer),
+            Event::NodeTimer { node, timer, .. } => self.on_node_timer(now, node, timer),
             Event::SendAttempt { job } => {
                 let SendJob {
                     node,
@@ -769,9 +725,8 @@ impl World {
         }
     }
 
-    fn on_node_timer(&mut self, now: SimTime, fired_id: EventId, node: u32, timer: PeasTimer) {
+    fn on_node_timer(&mut self, now: SimTime, node: u32, timer: PeasTimer) {
         let idx = node as usize;
-        self.nodes.timers.remove(node, timer_index(timer), fired_id);
         if !self.nodes.alive[idx] {
             return;
         }
@@ -824,25 +779,10 @@ impl World {
         for action in actions {
             match action {
                 PeasAction::Schedule { timer, after } => {
-                    let id = self.sim.schedule_at(
-                        now + after,
-                        Event::NodeTimer {
-                            node: node_u32(idx),
-                            timer,
-                        },
-                    );
-                    self.nodes
-                        .timers
-                        .insert(node_u32(idx), timer_index(timer), id);
+                    let event = self.nodes.timers.event(node_u32(idx), timer);
+                    self.sim.schedule_at(now + after, event);
                 }
-                PeasAction::Cancel(timer) => {
-                    let sim = &mut self.sim;
-                    self.nodes
-                        .timers
-                        .cancel_class(node_u32(idx), timer_index(timer), |id| {
-                            sim.cancel(id);
-                        });
-                }
+                PeasAction::Cancel(timer) => self.nodes.timers.cancel(node_u32(idx), timer),
                 PeasAction::Broadcast { msg, range } => {
                     self.try_send(now, idx, Payload::Peas(msg), range, 0);
                 }
@@ -1345,12 +1285,10 @@ impl World {
             DeathCause::Failure => self.failures_injected += 1,
             DeathCause::Energy => self.energy_deaths += 1,
         }
-        self.nodes.peas[idx].kill();
-        let sim = &mut self.sim;
-        for class in 0..4 {
-            self.nodes.timers.cancel_class(node_u32(idx), class, |id| {
-                sim.cancel(id);
-            });
+        for action in self.nodes.peas[idx].kill() {
+            if let PeasAction::Cancel(timer) = action {
+                self.nodes.timers.cancel(node_u32(idx), timer);
+            }
         }
         if let Some(grab) = self.nodes.grab_mut(idx) {
             grab.reset();
@@ -1618,6 +1556,116 @@ mod tests {
         for (&node, &(from, to)) in first_changes.borrow().iter() {
             assert_eq!(from, Mode::Sleeping, "node {node}");
             assert_eq!(to, Mode::Probing, "node {node}");
+        }
+    }
+
+    /// A one-sensor world: until the sensor wakes, its boot Wake timer
+    /// and the 25 s samples are the only events.
+    fn lone_sensor() -> World {
+        World::new(quick_config(1, 3))
+    }
+
+    /// Replaces the lone sensor's boot Wake with one due at 5 s.
+    fn wake_at_5s(world: &mut World) {
+        world.nodes.timers.cancel(0, PeasTimer::Wake);
+        let wake = world.nodes.timers.event(0, PeasTimer::Wake);
+        world.sim.schedule_at(SimTime::from_secs(5), wake);
+    }
+
+    #[test]
+    fn a_cancelled_timer_never_fires_and_is_not_counted() {
+        let mut world = lone_sensor();
+        assert_eq!(world.sim.pending(), 2, "the boot Wake and the first sample");
+        world.nodes.timers.cancel(0, PeasTimer::Wake);
+        let report = world.run();
+        assert_eq!(report.total_wakeups(), 0);
+        assert_eq!(
+            report.events_processed,
+            report.samples.len() as u64,
+            "only the samples were handled"
+        );
+    }
+
+    #[test]
+    fn a_timer_armed_after_a_cancel_fires() {
+        let mut world = lone_sensor();
+        // A second cancel of the same class changes nothing either.
+        world.nodes.timers.cancel(0, PeasTimer::Wake);
+        wake_at_5s(&mut world);
+        world.run_until(SimTime::from_secs(6));
+        assert_eq!(world.nodes.peas[0].stats().wakeups, 1);
+    }
+
+    #[test]
+    fn kill_drops_every_outstanding_probe_send() {
+        let mut world = lone_sensor();
+        world.drive_peas(SimTime::ZERO, 0, PeasInput::WakeUp);
+        world.kill(SimTime::ZERO, 0, DeathCause::Failure);
+        let mut probe_sends = 0;
+        while let Some(fired) = world.sim.next() {
+            if let Event::NodeTimer {
+                node,
+                timer,
+                generation,
+            } = fired.payload
+            {
+                assert!(
+                    !world.nodes.timers.is_current(node, timer, generation),
+                    "a {timer:?} timer survived the kill"
+                );
+                probe_sends += u32::from(timer == PeasTimer::ProbeSend);
+            }
+        }
+        assert_eq!(probe_sends, world.cfg.peas.probe_count);
+    }
+
+    #[test]
+    fn a_cancel_after_a_timer_fired_does_not_reach_it() {
+        let mut world = lone_sensor();
+        wake_at_5s(&mut world);
+        world.run_until(SimTime::from_secs(5) + SimDuration::from_nanos(1));
+        assert_eq!(world.events_processed, 1, "the Wake was handled");
+        world.nodes.timers.cancel(0, PeasTimer::Wake);
+        world.run_until(SimTime::from_secs(6));
+        // The Wake keeps its effects and its count, and the probe burst
+        // it armed, another class, still goes out.
+        let stats = world.nodes.peas[0].stats();
+        assert_eq!(stats.wakeups, 1);
+        assert_eq!(stats.probes_sent, u64::from(world.cfg.peas.probe_count));
+        assert!(world.events_processed > 1);
+    }
+
+    proptest::proptest! {
+        /// Cancelling the timers of an arbitrary subset of sensors drops
+        /// exactly that subset.
+        #[test]
+        fn cancelling_a_subset_drops_exactly_that_subset(
+            times in proptest::collection::vec(0u64..100, 1..100),
+            cancel_mask in proptest::collection::vec(proptest::prelude::any::<bool>(), 1..100),
+        ) {
+            let mut sim = Simulator::new();
+            let mut timers = TimerTable::new(times.len());
+            for (i, &t) in times.iter().enumerate() {
+                sim.schedule_at(SimTime::from_nanos(t), timers.event(node_u32(i), PeasTimer::Wake));
+            }
+            let mut kept = Vec::new();
+            for i in 0..times.len() {
+                if cancel_mask.get(i).copied().unwrap_or(false) {
+                    timers.cancel(node_u32(i), PeasTimer::Wake);
+                } else {
+                    kept.push(node_u32(i));
+                }
+            }
+            let mut fired = Vec::new();
+            while let Some(f) = sim.next() {
+                if let Event::NodeTimer { node, timer, generation } = f.payload {
+                    if timers.is_current(node, timer, generation) {
+                        fired.push(node);
+                    }
+                }
+            }
+            fired.sort_unstable();
+            proptest::prop_assert_eq!(fired, kept);
         }
     }
 

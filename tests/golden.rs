@@ -20,7 +20,7 @@ const GOLDEN_FINGERPRINT: u64 = 0x4053_87E1_0CC7_2444;
 
 /// Same scenario under log-normal shadowing with random loss: pins the
 /// RNG-consumption order of the per-edge precomputed shadowing draws and
-/// the per-receiver loss draws on the decode-row fast path.
+/// the per-receiver loss draws on the range-class fast path.
 const GOLDEN_FINGERPRINT_SHADOWED: u64 = 0xCA76_1049_62AF_AC70;
 
 #[test]
