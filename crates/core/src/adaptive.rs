@@ -41,53 +41,47 @@ pub fn adjusted_rate(
     (current * factor).clamp(lo, hi)
 }
 
-/// The REPLYs of one probing window, folded in as they arrive: whether any
-/// REPLY was heard, and the largest usable λ̂ with the λd it came with
-/// (the first of equals wins). Fixed-size, so a probing node buffers no
-/// REPLYs.
+/// The REPLYs of one probing window, folded in as they arrive: the largest
+/// usable λ̂ and the λd it came with (the first of equals wins). Two
+/// `f64`s, 0.0 until a REPLY carries a usable λ̂ (a measurement is always
+/// above 0), so a probing node buffers no REPLYs. Whether any REPLY was
+/// heard at all is the node's own flag.
 ///
-/// A REPLY whose `desired_rate` is non-positive or non-finite still counts
-/// as heard, but its measurement is ignored rather than fed into
-/// [`adjusted_rate`] (whose positivity assert it would trip): a single
-/// corrupted or adversarial frame must not abort the run.
+/// A REPLY whose `desired_rate` is non-positive or non-finite has its
+/// measurement ignored rather than fed into [`adjusted_rate`] (whose
+/// positivity assert it would trip): a single corrupted or adversarial
+/// frame must not abort the run.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub(crate) struct ReplyFold {
-    heard: bool,
-    best: Option<(RateMeasurement, f64)>,
+    /// The largest λ̂ so far, or 0.0.
+    best: f64,
+    /// The λd of the REPLY that carried `best`.
+    desired: f64,
 }
 
 impl ReplyFold {
     /// Folds one REPLY into the window.
     pub fn push(&mut self, reply: &Reply) {
-        self.heard = true;
         if !(reply.desired_rate.is_finite() && reply.desired_rate > 0.0) {
             return;
         }
         if let Some(m) = reply.measured_rate {
-            let better = match self.best {
-                None => true,
-                Some((b, _)) => m > b,
-            };
-            if better {
-                self.best = Some((m, reply.desired_rate));
+            if m.per_second() > self.best {
+                self.best = m.per_second();
+                self.desired = reply.desired_rate;
             }
         }
-    }
-
-    /// Whether any REPLY was folded in.
-    pub fn heard(&self) -> bool {
-        self.heard
     }
 
     /// The node's new rate: Equation 2 applied to the largest λ̂ (the
     /// lowest resulting rate), or `current` when no REPLY carried a usable
     /// measurement.
     pub fn rate(&self, current: f64, bounds: (f64, f64), factor_bounds: (f64, f64)) -> f64 {
-        match self.best {
-            Some((measurement, desired)) => {
-                adjusted_rate(current, desired, measurement, bounds, factor_bounds)
-            }
-            None => current,
+        if self.best > 0.0 {
+            let measurement = RateMeasurement::new(self.best);
+            adjusted_rate(current, self.desired, measurement, bounds, factor_bounds)
+        } else {
+            current
         }
     }
 }
@@ -223,6 +217,14 @@ mod tests {
         let m = RateMeasurement::new(0.0001);
         let next = adjusted_rate(0.1, 0.02, m, BOUNDS, (0.5, 8.0));
         assert!((next - 0.8).abs() < 1e-12);
+    }
+
+    #[test]
+    fn fold_keeps_the_first_of_equal_measurements() {
+        // Equal λ̂ with different λd: the first REPLY's λd stays.
+        let replies = [reply(Some(0.05), 0.02), reply(Some(0.05), 0.04)];
+        let next = rate_from_replies(0.1, BOUNDS, CAP, replies.iter());
+        assert!((next - 0.1 * 0.02 / 0.05).abs() < 1e-12);
     }
 
     #[test]

@@ -2,6 +2,13 @@
 
 use peas_des::time::SimDuration;
 
+/// The most PROBEs one wakeup may send ([`PeasConfig::probe_count`]). A
+/// 25-byte PROBE takes 10 ms at the paper's 20 kbps, so the paper's
+/// 150 ms REPLY window carries at most 15 of them; the paper sends 3. A
+/// wakeup asks its host for `probe_count + 1` timers at once, so the
+/// bound also caps what one input can make a host allocate.
+pub const MAX_PROBE_COUNT: u32 = 16;
+
 /// Fixed-transmission-power operation (Section 4, "Nodes with fixed
 /// transmission power").
 ///
@@ -51,7 +58,7 @@ pub struct PeasConfig {
     /// paper selects 32).
     pub measure_threshold: u32,
     /// PROBE transmissions per wakeup; Section 4 found three sufficient
-    /// against loss rates up to 10%.
+    /// against loss rates up to 10%. At most [`MAX_PROBE_COUNT`].
     pub probe_count: u32,
     /// Interval over which the multiple PROBEs are randomly spread.
     pub probe_spread: SimDuration,
@@ -86,7 +93,7 @@ pub struct PeasConfig {
     pub rate_bounds: (f64, f64),
     /// Upper bound on a measurement window's duration: windows also close
     /// after this long with however many PROBEs arrived (see
-    /// `RateEstimator::with_max_window`). Keeps λ̂ tracking the *current*
+    /// `RateEstimator::on_probe`). Keeps λ̂ tracking the *current*
     /// aggregate rate instead of averaging in boot-era probe bursts.
     pub measure_window_max: SimDuration,
     /// Bounds on the multiplicative change a single REPLY may apply to λ:
@@ -145,7 +152,7 @@ impl PeasConfig {
     ///
     /// Returns a human-readable description of the first violated
     /// constraint: non-positive ranges or rates, `k` or probe count of
-    /// zero, a probe spread longer than the reply window (later PROBEs
+    /// zero, a probe count above [`MAX_PROBE_COUNT`], a probe spread longer than the reply window (later PROBEs
     /// would fall outside the listen window), inverted rate bounds, or a
     /// fixed-power range smaller than the probing range.
     pub fn validate(&self) -> Result<(), ConfigError> {
@@ -163,6 +170,9 @@ impl PeasConfig {
         }
         if self.probe_count == 0 {
             return Err(ConfigError("probe_count must be at least 1"));
+        }
+        if self.probe_count > MAX_PROBE_COUNT {
+            return Err(ConfigError("probe_count must be at most 16"));
         }
         if self.probe_spread > self.reply_window {
             return Err(ConfigError(
@@ -414,6 +424,38 @@ mod tests {
             .is_err());
         // Fixed power must reach at least Rp.
         assert!(PeasConfig::builder().fixed_power(1.0).try_build().is_err());
+    }
+
+    #[test]
+    fn zero_k_rejected() {
+        let e = PeasConfig::builder()
+            .measure_threshold(0)
+            .try_build()
+            .unwrap_err();
+        assert!(e.to_string().contains("(k) must be at least 1"), "{e}");
+        let e = PeasConfig::builder()
+            .measure_window_max(SimDuration::ZERO)
+            .try_build()
+            .unwrap_err();
+        assert!(e.to_string().contains("measure_window_max"), "{e}");
+    }
+
+    #[test]
+    fn probe_count_is_bounded() {
+        let at_bound = PeasConfig::builder()
+            .probe_count(MAX_PROBE_COUNT)
+            .try_build();
+        assert!(at_bound.is_ok());
+        for count in [MAX_PROBE_COUNT + 1, 4_000_000_000, u32::MAX] {
+            let e = PeasConfig::builder()
+                .probe_count(count)
+                .try_build()
+                .unwrap_err();
+            assert_eq!(
+                e.to_string(),
+                "invalid PEAS configuration: probe_count must be at most 16"
+            );
+        }
     }
 
     #[test]

@@ -29,10 +29,11 @@
 //!   turn-off rule, and fixed-transmission-power threshold filtering;
 //! * [`stats`] — per-node counters feeding the paper's Figures 11/14.
 //!
-//! The state machine is I/O-free: it consumes [`Input`]s and returns
-//! [`Action`]s. Any host that owns a clock, an RNG and a radio can run it —
-//! the companion `peas-sim` crate provides the full wireless-network
-//! simulator used to reproduce the paper's evaluation.
+//! The state machine is I/O-free: it consumes [`Input`]s and writes
+//! [`Action`]s into a buffer its host owns. Any host that owns a clock, an
+//! RNG and a radio can run it — the companion `peas-sim` crate provides
+//! the full wireless-network simulator used to reproduce the paper's
+//! evaluation.
 //!
 //! ## Example
 //!
@@ -47,8 +48,8 @@
 //! let mut rng = SimRng::new(42);
 //!
 //! // Booting arms the first exponential sleep timer.
-//! let actions = node.start(&mut rng);
-//! assert!(matches!(actions[0], Action::Schedule { timer: Timer::Wake, .. }));
+//! let boot = node.start(&mut rng);
+//! assert!(matches!(boot, Action::Schedule { timer: Timer::Wake, .. }));
 //!
 //! // When the wake timer fires the node probes its neighborhood...
 //! let now = SimTime::from_secs(30);
@@ -70,7 +71,7 @@ pub mod node;
 pub mod rate;
 pub mod stats;
 
-pub use config::{ConfigError, FixedPower, PeasConfig, PeasConfigBuilder};
+pub use config::{ConfigError, FixedPower, PeasConfig, PeasConfigBuilder, MAX_PROBE_COUNT};
 pub use msg::{Message, Reply, CONTROL_FRAME_BYTES};
 pub use node::{Action, Input, Mode, PeasNode, Timer};
 pub use rate::{RateEstimator, RateMeasurement};

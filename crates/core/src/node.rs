@@ -26,7 +26,7 @@ use crate::adaptive::ReplyFold;
 use crate::config::PeasConfig;
 use crate::msg::{Message, Reply};
 use crate::rate::RateEstimator;
-use crate::stats::NodeStats;
+use crate::stats::{Counters, NodeStats};
 
 /// The node's operation mode (Figure 1, plus `Dead`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -105,7 +105,17 @@ pub enum Action {
     },
 }
 
+/// [`PeasNode::work_started`]'s sentinel: the node is not working.
+const NOT_WORKING: SimTime = SimTime::MAX;
+
 /// One sensor running PEAS.
+///
+/// A million-node world keeps one per sensor, so the node holds only its
+/// own state, in 112 bytes: the network's constants stay in the shared
+/// [`PeasConfig`], counters are `u32`, and "none" is a sentinel value
+/// rather than an `Option` tag. It writes its actions into a buffer that
+/// its host owns ([`PeasNode::on_input_into`]), so handling an input
+/// does not allocate.
 ///
 /// # Examples
 ///
@@ -119,17 +129,22 @@ pub enum Action {
 ///
 /// let mut node = PeasNode::new(NodeId(0), PeasConfig::paper());
 /// let mut rng = SimRng::new(1);
-/// let actions = node.start(&mut rng);
-/// assert!(matches!(actions[0], Action::Schedule { timer: Timer::Wake, .. }));
+/// let boot = node.start(&mut rng);
+/// assert!(matches!(boot, Action::Schedule { timer: Timer::Wake, .. }));
 ///
+/// // The host keeps one action buffer and clears it after each input.
+/// let mut actions = Vec::new();
 /// let t0 = SimTime::from_secs(5);
-/// node.on_input(t0, Input::WakeUp, &mut rng);
+/// node.on_input_into(t0, Input::WakeUp, &mut rng, &mut actions);
 /// assert_eq!(node.mode(), Mode::Probing);
+/// assert_eq!(actions.len(), 4); // three PROBE timers and the window
+/// actions.clear();
 ///
 /// // No REPLY arrives; the window closes and the node starts working.
 /// let t1 = t0 + PeasConfig::paper().reply_window;
-/// node.on_input(t1, Input::ReplyWindowClosed, &mut rng);
+/// node.on_input_into(t1, Input::ReplyWindowClosed, &mut rng, &mut actions);
 /// assert_eq!(node.mode(), Mode::Working);
+/// assert!(actions.is_empty());
 /// ```
 #[derive(Clone, Debug)]
 pub struct PeasNode {
@@ -140,12 +155,16 @@ pub struct PeasNode {
     /// Current per-node probing rate λ.
     rate: f64,
     estimator: RateEstimator,
-    work_started: Option<SimTime>,
+    /// The instant the node last entered `Working`, or [`NOT_WORKING`].
+    /// Only a turn-off clears it: a node killed while working keeps it.
+    work_started: SimTime,
     /// The REPLYs of the open probing window, folded as they arrive.
     window: ReplyFold,
+    /// Whether a REPLY arrived in the open probing window.
+    heard: bool,
     /// Whether a REPLY backoff timer is outstanding.
     reply_pending: bool,
-    stats: NodeStats,
+    counters: Counters,
 }
 
 impl PeasNode {
@@ -171,56 +190,76 @@ impl PeasNode {
         if let Err(e) = config.validate() {
             panic!("{e}");
         }
-        let estimator =
-            RateEstimator::with_max_window(config.measure_threshold, config.measure_window_max);
         let rate = config.initial_rate;
         PeasNode {
             id,
             config,
             mode: Mode::Sleeping,
             rate,
-            estimator,
-            work_started: None,
+            estimator: RateEstimator::new(),
+            work_started: NOT_WORKING,
             window: ReplyFold::default(),
+            heard: false,
             reply_pending: false,
-            stats: NodeStats::default(),
+            counters: Counters::default(),
         }
     }
 
-    /// Boots the node: draws the first exponential sleep and asks the host
-    /// to arm the wake timer.
-    pub fn start(&mut self, rng: &mut SimRng) -> Vec<Action> {
+    /// Boots the node: draws the first exponential sleep and returns the
+    /// one action booting takes, arming the wake timer.
+    pub fn start(&mut self, rng: &mut SimRng) -> Action {
         debug_assert_eq!(self.mode, Mode::Sleeping, "start() on a started node");
-        vec![Action::Schedule {
+        Action::Schedule {
             timer: Timer::Wake,
             after: rng.exp_duration(self.rate),
-        }]
+        }
     }
 
-    /// Feeds one input; returns the side effects to perform.
+    /// Feeds one input; returns the side effects to perform, in a fresh
+    /// vector. [`PeasNode::on_input_into`] is the same step for a host
+    /// that keeps one buffer.
+    pub fn on_input(&mut self, now: SimTime, input: Input, rng: &mut SimRng) -> Vec<Action> {
+        let mut actions = Vec::new();
+        self.on_input_into(now, input, rng, &mut actions);
+        actions
+    }
+
+    /// Feeds one input and appends the side effects to perform to
+    /// `actions`, a buffer the host owns and reuses, so a warm buffer
+    /// makes the step allocation-free. One input appends at most
+    /// `probe_count + 1` actions (a wakeup's PROBE timers and its
+    /// window), which [`crate::MAX_PROBE_COUNT`] bounds.
     ///
     /// Stale timer firings (e.g. a `ReplyBackoff` arriving after the node
     /// was turned off) are ignored, so hosts need not cancel precisely.
-    pub fn on_input(&mut self, now: SimTime, input: Input, rng: &mut SimRng) -> Vec<Action> {
+    pub fn on_input_into(
+        &mut self,
+        now: SimTime,
+        input: Input,
+        rng: &mut SimRng,
+        actions: &mut Vec<Action>,
+    ) {
         if self.mode == Mode::Dead {
-            return Vec::new();
+            return;
         }
         match input {
-            Input::WakeUp => self.on_wake(rng),
-            Input::ProbeSendTimer => self.on_probe_send(),
-            Input::ReplyWindowClosed => self.on_window_closed(now, rng),
-            Input::ReplyBackoff => self.on_reply_backoff(now),
-            Input::Frame { from, msg, info } => self.on_frame(now, from, msg, info, rng),
+            Input::WakeUp => self.on_wake(rng, actions),
+            Input::ProbeSendTimer => self.on_probe_send(actions),
+            Input::ReplyWindowClosed => self.on_window_closed(now, rng, actions),
+            Input::ReplyBackoff => self.on_reply_backoff(now, actions),
+            Input::Frame { from, msg, info } => self.on_frame(now, from, msg, info, rng, actions),
         }
     }
 
     /// Marks the node dead (failure injection or battery depletion).
-    /// Returns cancellations for any timers that may be outstanding.
-    pub fn kill(&mut self) -> Vec<Action> {
+    /// Returns cancellations for all four timer classes, any of which may
+    /// be outstanding.
+    pub fn kill(&mut self) -> [Action; 4] {
         self.mode = Mode::Dead;
         self.reply_pending = false;
+        self.heard = false;
         self.window = ReplyFold::default();
-        vec![
+        [
             Action::Cancel(Timer::Wake),
             Action::Cancel(Timer::ProbeSend),
             Action::Cancel(Timer::ReplyWindow),
@@ -228,14 +267,14 @@ impl PeasNode {
         ]
     }
 
-    fn on_wake(&mut self, rng: &mut SimRng) -> Vec<Action> {
+    fn on_wake(&mut self, rng: &mut SimRng, actions: &mut Vec<Action>) {
         if self.mode != Mode::Sleeping {
-            return Vec::new(); // stale wake timer
+            return; // stale wake timer
         }
         self.mode = Mode::Probing;
-        self.stats.wakeups += 1;
+        Counters::bump(&mut self.counters.wakeups);
         self.window = ReplyFold::default();
-        let mut actions = Vec::with_capacity(self.config.probe_count as usize + 1);
+        self.heard = false;
         for _ in 0..self.config.probe_count {
             actions.push(Action::Schedule {
                 timer: Timer::ProbeSend,
@@ -246,70 +285,66 @@ impl PeasNode {
             timer: Timer::ReplyWindow,
             after: self.config.reply_window,
         });
-        actions
     }
 
-    fn on_probe_send(&mut self) -> Vec<Action> {
+    fn on_probe_send(&mut self, actions: &mut Vec<Action>) {
         if self.mode != Mode::Probing {
-            return Vec::new(); // stale probe timer
+            return; // stale probe timer
         }
-        self.stats.probes_sent += 1;
-        vec![Action::Broadcast {
+        Counters::bump(&mut self.counters.probes_sent);
+        actions.push(Action::Broadcast {
             msg: Message::Probe,
             range: self.config.control_tx_range(),
-        }]
+        });
     }
 
-    fn on_window_closed(&mut self, _now: SimTime, rng: &mut SimRng) -> Vec<Action> {
+    fn on_window_closed(&mut self, now: SimTime, rng: &mut SimRng, actions: &mut Vec<Action>) {
         if self.mode != Mode::Probing {
-            return Vec::new();
+            return;
         }
-        if !self.window.heard() {
+        if !self.heard {
             // No working node within Rp: take over (Figure 1, "no REPLY
             // for the PROBE").
-            self.stats.window_silent += 1;
+            Counters::bump(&mut self.counters.window_silent);
             self.mode = Mode::Working;
-            self.work_started = Some(_now);
-            self.estimator = RateEstimator::with_max_window(
-                self.config.measure_threshold,
-                self.config.measure_window_max,
-            );
+            self.work_started = now;
+            self.estimator = RateEstimator::new();
             self.reply_pending = false;
-            Vec::new()
         } else {
             // Working neighbor(s) exist: adapt λ and sleep again.
-            self.stats.window_with_reply += 1;
+            Counters::bump(&mut self.counters.window_with_reply);
             self.rate = self.window.rate(
                 self.rate,
                 self.config.rate_bounds,
                 self.config.adjust_factor_bounds,
             );
             self.window = ReplyFold::default();
+            self.heard = false;
             self.mode = Mode::Sleeping;
-            vec![Action::Schedule {
+            actions.push(Action::Schedule {
                 timer: Timer::Wake,
                 after: rng.exp_duration(self.rate),
-            }]
+            });
         }
     }
 
-    fn on_reply_backoff(&mut self, now: SimTime) -> Vec<Action> {
+    fn on_reply_backoff(&mut self, now: SimTime, actions: &mut Vec<Action>) {
         if self.mode != Mode::Working || !self.reply_pending {
-            return Vec::new(); // turned off (or killed) since scheduling
+            return; // turned off (or killed) since scheduling
         }
         self.reply_pending = false;
-        self.stats.replies_sent += 1;
+        Counters::bump(&mut self.counters.replies_sent);
         // Report a freshness-capped estimate (see RateEstimator docs); the
         // minimum window age is one expected inter-probe interval at λd.
         let min_elapsed = SimDuration::from_secs_f64(1.0 / self.config.desired_rate);
-        vec![Action::Broadcast {
+        actions.push(Action::Broadcast {
             msg: Message::Reply(Reply {
                 measured_rate: self.estimator.current_estimate(now, min_elapsed),
                 desired_rate: self.config.desired_rate,
                 working_time: self.working_time(now).unwrap_or(SimDuration::ZERO),
             }),
             range: self.config.control_tx_range(),
-        }]
+        });
     }
 
     fn on_frame(
@@ -319,51 +354,55 @@ impl PeasNode {
         msg: Message,
         info: RxInfo,
         rng: &mut SimRng,
-    ) -> Vec<Action> {
+        actions: &mut Vec<Action>,
+    ) {
         // Fixed-power threshold rule (Section 4): only frames that appear to
         // originate within the probing range count.
         if self.config.fixed_power.is_some() && !info.stronger_than_range(self.config.probing_range)
         {
-            return Vec::new();
+            return;
         }
         match (self.mode, msg) {
             (Mode::Working, Message::Probe) => {
-                self.stats.probes_heard += 1;
-                if self.reply_pending {
-                    // Same probing burst (Section 4 sends up to three PROBE
-                    // frames per wakeup): the pending REPLY serves it, and
-                    // the estimator must not double-count the event — λ̂
-                    // measures wakeups, not frames, or Equation 2 would
-                    // regulate the aggregate to λd divided by the probe
-                    // count.
-                    Vec::new()
-                } else {
-                    if self.estimator.on_probe(now).is_some() {
-                        self.stats.measurements += 1;
+                Counters::bump(&mut self.counters.probes_heard);
+                // A pending REPLY means the same probing burst (Section 4
+                // sends up to three PROBE frames per wakeup): that REPLY
+                // serves it, and the estimator must not double-count the
+                // event — λ̂ measures wakeups, not frames, or Equation 2
+                // would regulate the aggregate to λd divided by the probe
+                // count.
+                if !self.reply_pending {
+                    let measured = self.estimator.on_probe(
+                        now,
+                        self.config.measure_threshold,
+                        self.config.measure_window_max,
+                    );
+                    if measured.is_some() {
+                        Counters::bump(&mut self.counters.measurements);
                     }
                     self.reply_pending = true;
                     // Delay past the prober's multi-PROBE burst so the
                     // half-duplex prober is listening when the REPLY lands.
                     let after = self.config.reply_backoff_base
                         + rng.range_duration(SimDuration::ZERO, self.config.reply_backoff_max);
-                    vec![Action::Schedule {
+                    actions.push(Action::Schedule {
                         timer: Timer::ReplyBackoff,
                         after,
-                    }]
+                    });
                 }
             }
             (Mode::Working, Message::Reply(reply)) => {
-                self.on_overheard_reply(now, from, reply, rng)
+                self.on_overheard_reply(now, from, reply, rng, actions);
             }
             (Mode::Probing, Message::Reply(reply)) => {
-                self.stats.replies_heard += 1;
+                Counters::bump(&mut self.counters.replies_heard);
+                self.heard = true;
                 self.window.push(&reply);
-                Vec::new()
             }
             // A probing node ignores other nodes' PROBEs; sleeping nodes
             // never reach here (hosts don't deliver to a powered-off radio),
             // but stay safe if they do.
-            _ => Vec::new(),
+            _ => {}
         }
     }
 
@@ -380,10 +419,11 @@ impl PeasNode {
         from: NodeId,
         reply: Reply,
         rng: &mut SimRng,
-    ) -> Vec<Action> {
-        self.stats.replies_overheard += 1;
+        actions: &mut Vec<Action>,
+    ) {
+        Counters::bump(&mut self.counters.replies_overheard);
         if !self.config.turnoff_enabled {
-            return Vec::new();
+            return;
         }
         let my_tw = self.working_time(now).unwrap_or(SimDuration::ZERO);
         let eps = self.config.turnoff_tie_epsilon;
@@ -408,12 +448,11 @@ impl PeasNode {
             my_tw < reply.working_time
         };
         if !i_yield {
-            return Vec::new(); // the sender is newer; it should yield, not us
+            return; // the sender is newer; it should yield, not us
         }
-        self.stats.turnoffs += 1;
+        Counters::bump(&mut self.counters.turnoffs);
         self.mode = Mode::Sleeping;
-        self.work_started = None;
-        let mut actions = Vec::new();
+        self.work_started = NOT_WORKING;
         if self.reply_pending {
             self.reply_pending = false;
             actions.push(Action::Cancel(Timer::ReplyBackoff));
@@ -422,7 +461,6 @@ impl PeasNode {
             timer: Timer::Wake,
             after: rng.exp_duration(self.rate),
         });
-        actions
     }
 
     /// The current operation mode.
@@ -442,12 +480,12 @@ impl PeasNode {
 
     /// How long the node has been working (`Tw`), if it is working.
     pub fn working_time(&self, now: SimTime) -> Option<SimDuration> {
-        self.work_started.map(|t| now.saturating_since(t))
+        self.work_started().map(|t| now.saturating_since(t))
     }
 
-    /// The node's counters.
-    pub fn stats(&self) -> &NodeStats {
-        &self.stats
+    /// The node's counters, widened to `u64`.
+    pub fn stats(&self) -> NodeStats {
+        self.counters.widen()
     }
 
     /// The working node's aggregate-rate estimator (for inspection).
@@ -465,14 +503,14 @@ impl PeasNode {
     /// Whether a REPLY arrived in the currently open probing window. False
     /// outside `Probing`. Exposed for host-side invariant checking.
     pub fn heard_window_reply(&self) -> bool {
-        self.window.heard()
+        self.heard
     }
 
     /// The instant the node last entered `Working`, if it is working.
     /// Exposed for host-side invariant checking (`peas-model` needs the
     /// absolute start, not the `Tw` delta, to canonicalize states).
     pub fn work_started(&self) -> Option<SimTime> {
-        self.work_started
+        (self.work_started != NOT_WORKING).then_some(self.work_started)
     }
 }
 
@@ -520,14 +558,12 @@ mod tests {
     fn boot_schedules_exponential_wake() {
         let mut rng = SimRng::new(1);
         let mut n = PeasNode::new(NodeId(0), PeasConfig::paper());
-        let actions = n.start(&mut rng);
-        assert_eq!(actions.len(), 1);
-        match actions[0] {
+        match n.start(&mut rng) {
             Action::Schedule {
                 timer: Timer::Wake,
                 after,
             } => assert!(after > SimDuration::ZERO),
-            ref other => panic!("unexpected action {other:?}"),
+            other => panic!("unexpected action {other:?}"),
         }
         assert_eq!(n.mode(), Mode::Sleeping);
         assert_eq!(n.rate(), 0.1);
@@ -951,13 +987,52 @@ mod tests {
     }
 
     #[test]
+    fn on_input_into_appends_to_the_hosts_buffer() {
+        let mut rng = SimRng::new(21);
+        let mut n = booted_node(&mut rng);
+        let mut twin = n.clone();
+        let mut twin_rng = rng.clone();
+        let held = Action::Cancel(Timer::Wake);
+        let mut actions = vec![held];
+        n.on_input_into(t(10.0), Input::WakeUp, &mut rng, &mut actions);
+        assert_eq!(actions[0], held, "the buffer is appended to, not cleared");
+        let fresh = twin.on_input(t(10.0), Input::WakeUp, &mut twin_rng);
+        assert_eq!(&actions[1..], &fresh[..]);
+        // A stale input appends nothing.
+        n.on_input_into(t(10.0), Input::WakeUp, &mut rng, &mut actions);
+        assert_eq!(actions.len(), 1 + fresh.len());
+    }
+
+    #[test]
+    fn a_killed_worker_keeps_its_start_time() {
+        let mut rng = SimRng::new(22);
+        let mut n = booted_node(&mut rng);
+        assert_eq!(n.work_started(), None);
+        n.on_input(t(10.0), Input::WakeUp, &mut rng);
+        n.on_input(t(10.1), Input::ReplyWindowClosed, &mut rng);
+        n.kill();
+        assert_eq!(n.mode(), Mode::Dead);
+        assert_eq!(n.work_started(), Some(t(10.1)));
+        assert_eq!(n.working_time(t(12.1)), Some(SimDuration::from_secs(2)));
+        // A turn-off clears it.
+        let mut m = booted_node(&mut rng);
+        m.on_input(t(10.0), Input::WakeUp, &mut rng);
+        m.on_input(t(10.1), Input::ReplyWindowClosed, &mut rng);
+        m.on_input(t(15.0), frame(reply_msg(None, 100)), &mut rng);
+        assert_eq!(m.mode(), Mode::Sleeping);
+        assert_eq!(m.work_started(), None);
+        assert_eq!(m.working_time(t(16.0)), None);
+    }
+
+    #[test]
     fn node_footprint_stays_small() {
         // A million-node world carries one PeasNode per sensor. The config
-        // is shared behind an Arc and the REPLY window is a fixed-size
-        // fold, so neither a config copy nor a REPLY buffer may move back
-        // into every node.
+        // is shared behind an Arc, the REPLY window is a fixed-size fold,
+        // the estimator reads k and its window cap from the config, and
+        // counters are u32: none of a config copy, a REPLY buffer, an
+        // Option tag or a u64 counter may move back into every node.
         assert!(
-            std::mem::size_of::<PeasNode>() <= 224,
+            std::mem::size_of::<PeasNode>() <= 112,
             "PeasNode grew to {} bytes",
             std::mem::size_of::<PeasNode>()
         );

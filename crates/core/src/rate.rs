@@ -46,48 +46,52 @@ impl std::fmt::Display for RateMeasurement {
 /// The `k`-PROBE estimator a working node runs (Section 2.2, "Measuring
 /// aggregate λ at a working node").
 ///
+/// It holds only the open window and the last measurement: 24 bytes, of
+/// which a million-node world keeps one per sensor. The threshold `k` and
+/// the window cap are the network's, passed in by the node from its
+/// shared [`crate::PeasConfig`] (`measure_threshold`,
+/// `measure_window_max`).
+///
 /// # Examples
 ///
 /// ```
 /// use peas::rate::RateEstimator;
-/// use peas_des::time::SimTime;
+/// use peas_des::time::{SimDuration, SimTime};
 ///
-/// let mut est = RateEstimator::new(2);
-/// assert_eq!(est.on_probe(SimTime::from_secs(0)), None);  // arms t0
-/// assert_eq!(est.on_probe(SimTime::from_secs(10)), None); // count = 1
-/// let m = est.on_probe(SimTime::from_secs(20)).unwrap();  // count = 2 = k
-/// assert!((m.per_second() - 0.1).abs() < 1e-12);          // 2 / 20 s
+/// let (k, cap) = (2, SimDuration::MAX);
+/// let mut est = RateEstimator::new();
+/// assert_eq!(est.on_probe(SimTime::from_secs(0), k, cap), None);  // arms t0
+/// assert_eq!(est.on_probe(SimTime::from_secs(10), k, cap), None); // count = 1
+/// let m = est.on_probe(SimTime::from_secs(20), k, cap).unwrap();  // count = 2 = k
+/// assert!((m.per_second() - 0.1).abs() < 1e-12);                  // 2 / 20 s
 /// ```
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RateEstimator {
-    k: u32,
-    /// Windows are also closed after this long even with fewer than `k`
-    /// PROBEs (see [`RateEstimator::with_max_window`]).
-    max_window: SimDuration,
-    /// `None` until the first PROBE arms the window.
-    window: Option<Window>,
-    latest: Option<RateMeasurement>,
-    completed: u64,
-}
-
-#[derive(Clone, Copy, Debug, PartialEq)]
-struct Window {
+    /// When the open window started; meaningful only while `armed`.
     t0: SimTime,
+    /// The latest completed measurement λ̂, or 0.0 before the first (a
+    /// [`RateMeasurement`] is always above 0).
+    latest: f64,
+    /// PROBEs counted since `t0`.
     count: u32,
+    /// Whether the first PROBE has opened a window.
+    armed: bool,
 }
 
 impl RateEstimator {
-    /// Creates an estimator that measures after every `k` PROBEs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn new(k: u32) -> RateEstimator {
-        RateEstimator::with_max_window(k, SimDuration::MAX)
+    /// An estimator that has heard no PROBE.
+    pub fn new() -> RateEstimator {
+        RateEstimator::default()
     }
 
-    /// Creates an estimator whose windows also close after `max_window`,
-    /// measuring over however many PROBEs arrived by then.
+    /// Records a PROBE heard at `now`. Returns a fresh measurement when
+    /// this PROBE is the `k`-th since the window opened, or when the
+    /// window is `max_window` old, measuring over however many PROBEs
+    /// arrived by then.
+    ///
+    /// Exactly the paper's procedure: the first PROBE sets the counter to 0
+    /// and `t₀ = now`; each later PROBE increments the counter; on reaching
+    /// `k`, λ̂ = k / (now − t₀), then `t₀ = now` and the counter resets.
     ///
     /// The paper's procedure waits for exactly `k` PROBEs, which takes
     /// `k/Λ` seconds — fine at Λ ≈ λd (1600 s at k = 32), but once the
@@ -95,65 +99,47 @@ impl RateEstimator {
     /// ancient (boot-era) probes and reports a rate far above the current
     /// one, which Equation 2 then turns into ever-lower prober rates. A
     /// bounded window caps that memory: λ̂ tracks the current rate with at
-    /// most `max_window` of lag. `peas-sim` uses `8/λd` (400 s at the
-    /// paper's λd).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0` or `max_window` is zero.
-    pub fn with_max_window(k: u32, max_window: SimDuration) -> RateEstimator {
-        assert!(k > 0, "measurement threshold k must be at least 1");
-        assert!(!max_window.is_zero(), "max_window must be positive");
-        RateEstimator {
-            k,
-            max_window,
-            window: None,
-            latest: None,
-            completed: 0,
+    /// most `max_window` of lag. `PeasConfig::paper` uses `8/λd` (400 s
+    /// at the paper's λd); `SimDuration::MAX` leaves windows unbounded.
+    /// [`crate::PeasConfig::validate`] keeps `k` at least 1 and
+    /// `max_window` positive.
+    pub fn on_probe(
+        &mut self,
+        now: SimTime,
+        k: u32,
+        max_window: SimDuration,
+    ) -> Option<RateMeasurement> {
+        if !self.armed {
+            self.armed = true;
+            self.t0 = now;
+            self.count = 0;
+            return None;
         }
-    }
-
-    /// Records a PROBE heard at `now`. Returns a fresh measurement when
-    /// this PROBE is the `k`-th since the window opened.
-    ///
-    /// Exactly the paper's procedure: the first PROBE sets the counter to 0
-    /// and `t₀ = now`; each later PROBE increments the counter; on reaching
-    /// `k`, λ̂ = k / (now − t₀), then `t₀ = now` and the counter resets.
-    pub fn on_probe(&mut self, now: SimTime) -> Option<RateMeasurement> {
-        match &mut self.window {
-            None => {
-                self.window = Some(Window { t0: now, count: 0 });
-                None
-            }
-            Some(w) => {
-                w.count += 1;
-                let elapsed_d = now.saturating_since(w.t0);
-                if w.count < self.k && elapsed_d < self.max_window {
-                    return None;
-                }
-                let elapsed = elapsed_d.as_secs_f64();
-                // Degenerate case: k probes in the same instant (only
-                // possible in zero-delay unit tests). Skip the measurement
-                // and restart the window rather than produce λ̂ = ∞.
-                let measurement = if elapsed > 0.0 {
-                    Some(RateMeasurement::new(w.count as f64 / elapsed))
-                } else {
-                    None
-                };
-                w.t0 = now;
-                w.count = 0;
-                if let Some(m) = measurement {
-                    self.latest = Some(m);
-                    self.completed += 1;
-                }
-                measurement
-            }
+        self.count += 1;
+        let elapsed_d = now.saturating_since(self.t0);
+        if self.count < k && elapsed_d < max_window {
+            return None;
         }
+        let elapsed = elapsed_d.as_secs_f64();
+        // Degenerate case: k probes in the same instant (only possible in
+        // zero-delay unit tests). Skip the measurement and restart the
+        // window rather than produce λ̂ = ∞.
+        let measurement = if elapsed > 0.0 {
+            Some(RateMeasurement::new(self.count as f64 / elapsed))
+        } else {
+            None
+        };
+        self.t0 = now;
+        self.count = 0;
+        if let Some(m) = measurement {
+            self.latest = m.0;
+        }
+        measurement
     }
 
     /// The most recent completed measurement, if any.
     pub fn latest(&self) -> Option<RateMeasurement> {
-        self.latest
+        (self.latest > 0.0).then_some(RateMeasurement(self.latest))
     }
 
     /// The estimate a REPLY should carry *now* — the latest completed
@@ -175,15 +161,10 @@ impl RateEstimator {
         now: SimTime,
         min_elapsed: SimDuration,
     ) -> Option<RateMeasurement> {
-        let cap = self.window.and_then(|w| {
-            let elapsed = now.saturating_since(w.t0);
-            if w.count >= 2 && elapsed >= min_elapsed && !elapsed.is_zero() {
-                Some(w.count as f64 / elapsed.as_secs_f64())
-            } else {
-                None
-            }
-        });
-        match (self.latest, cap) {
+        let elapsed = now.saturating_since(self.t0);
+        let cap = (self.armed && self.count >= 2 && elapsed >= min_elapsed && !elapsed.is_zero())
+            .then(|| self.count as f64 / elapsed.as_secs_f64());
+        match (self.latest(), cap) {
             (Some(m), Some(c)) => Some(RateMeasurement::new(m.per_second().min(c))),
             (Some(m), None) => Some(m),
             (None, Some(c)) => Some(RateMeasurement::new(c)),
@@ -191,19 +172,9 @@ impl RateEstimator {
         }
     }
 
-    /// The threshold `k`.
-    pub fn k(&self) -> u32 {
-        self.k
-    }
-
-    /// Number of completed measurements.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
     /// PROBEs counted in the currently open window.
     pub fn pending_count(&self) -> u32 {
-        self.window.map_or(0, |w| w.count)
+        self.count
     }
 }
 
@@ -211,14 +182,17 @@ impl RateEstimator {
 mod tests {
     use super::*;
 
+    /// Unbounded windows: only `k` closes them.
+    const NO_CAP: SimDuration = SimDuration::MAX;
+
     fn t(secs: f64) -> SimTime {
         SimTime::from_secs_f64(secs)
     }
 
     #[test]
     fn first_probe_arms_without_measuring() {
-        let mut est = RateEstimator::new(32);
-        assert_eq!(est.on_probe(t(5.0)), None);
+        let mut est = RateEstimator::new();
+        assert_eq!(est.on_probe(t(5.0), 32, NO_CAP), None);
         assert_eq!(est.pending_count(), 0);
         assert_eq!(est.latest(), None);
     }
@@ -227,50 +201,50 @@ mod tests {
     fn measures_after_k_probes() {
         // k = 4, probes every 2 s after arming: measurement at the 5th
         // probe overall, λ̂ = 4 / 8 s = 0.5.
-        let mut est = RateEstimator::new(4);
-        assert_eq!(est.on_probe(t(0.0)), None);
+        let mut est = RateEstimator::new();
+        assert_eq!(est.on_probe(t(0.0), 4, NO_CAP), None);
         for i in 1..4 {
-            assert_eq!(est.on_probe(t(2.0 * i as f64)), None);
+            assert_eq!(est.on_probe(t(2.0 * i as f64), 4, NO_CAP), None);
         }
-        let m = est.on_probe(t(8.0)).unwrap();
+        let m = est.on_probe(t(8.0), 4, NO_CAP).unwrap();
         assert!((m.per_second() - 0.5).abs() < 1e-12);
-        assert_eq!(est.completed(), 1);
+        assert_eq!(est.latest(), Some(m));
+        assert_eq!(est.pending_count(), 0);
     }
 
     #[test]
     fn window_restarts_after_measurement() {
-        let mut est = RateEstimator::new(2);
-        est.on_probe(t(0.0));
-        est.on_probe(t(1.0));
-        let first = est.on_probe(t(2.0)).unwrap();
+        let mut est = RateEstimator::new();
+        est.on_probe(t(0.0), 2, NO_CAP);
+        est.on_probe(t(1.0), 2, NO_CAP);
+        let first = est.on_probe(t(2.0), 2, NO_CAP).unwrap();
         assert!((first.per_second() - 1.0).abs() < 1e-12);
         // Next window: probes at 4 and 12 -> 2 / 10 s = 0.2.
-        assert_eq!(est.on_probe(t(4.0)), None);
-        let second = est.on_probe(t(12.0)).unwrap();
+        assert_eq!(est.on_probe(t(4.0), 2, NO_CAP), None);
+        let second = est.on_probe(t(12.0), 2, NO_CAP).unwrap();
         assert!((second.per_second() - 0.2).abs() < 1e-12);
         assert_eq!(est.latest(), Some(second));
-        assert_eq!(est.completed(), 2);
     }
 
     #[test]
     fn latest_persists_between_windows() {
-        let mut est = RateEstimator::new(2);
-        est.on_probe(t(0.0));
-        est.on_probe(t(5.0));
-        let m = est.on_probe(t(10.0)).unwrap();
-        est.on_probe(t(11.0)); // mid-window
+        let mut est = RateEstimator::new();
+        est.on_probe(t(0.0), 2, NO_CAP);
+        est.on_probe(t(5.0), 2, NO_CAP);
+        let m = est.on_probe(t(10.0), 2, NO_CAP).unwrap();
+        est.on_probe(t(11.0), 2, NO_CAP); // mid-window
         assert_eq!(est.latest(), Some(m));
     }
 
     #[test]
     fn simultaneous_probes_do_not_divide_by_zero() {
-        let mut est = RateEstimator::new(1);
-        est.on_probe(t(3.0));
+        let mut est = RateEstimator::new();
+        est.on_probe(t(3.0), 1, NO_CAP);
         // Second probe at the exact same instant: skipped, no measurement.
-        assert_eq!(est.on_probe(t(3.0)), None);
+        assert_eq!(est.on_probe(t(3.0), 1, NO_CAP), None);
         assert_eq!(est.latest(), None);
         // A later probe measures over the restarted window.
-        let m = est.on_probe(t(5.0)).unwrap();
+        let m = est.on_probe(t(5.0), 1, NO_CAP).unwrap();
         assert!((m.per_second() - 0.5).abs() < 1e-12);
     }
 
@@ -280,12 +254,12 @@ mod tests {
         // and verify the k = 32 estimates cluster within a few percent.
         use peas_des::rng::SimRng;
         let mut rng = SimRng::new(21);
-        let mut est = RateEstimator::new(32);
+        let mut est = RateEstimator::new();
         let mut now = 0.0;
         let mut estimates = Vec::new();
         for _ in 0..20_000 {
             now += rng.exp_secs(0.02);
-            if let Some(m) = est.on_probe(SimTime::from_secs_f64(now)) {
+            if let Some(m) = est.on_probe(SimTime::from_secs_f64(now), 32, NO_CAP) {
                 estimates.push(m.per_second());
             }
         }
@@ -305,11 +279,12 @@ mod tests {
     fn window_times_out_with_partial_count() {
         // k = 32 but max_window = 100 s: the probe arriving after the
         // window aged out closes it with whatever count accumulated.
-        let mut est = RateEstimator::with_max_window(32, SimDuration::from_secs(100));
-        est.on_probe(t(0.0)); // arms
-        est.on_probe(t(40.0)); // count 1
-        est.on_probe(t(80.0)); // count 2
-        let m = est.on_probe(t(120.0)).expect("window timed out");
+        let cap = SimDuration::from_secs(100);
+        let mut est = RateEstimator::new();
+        est.on_probe(t(0.0), 32, cap); // arms
+        est.on_probe(t(40.0), 32, cap); // count 1
+        est.on_probe(t(80.0), 32, cap); // count 2
+        let m = est.on_probe(t(120.0), 32, cap).expect("window timed out");
         // 3 probes over 120 s.
         assert!((m.per_second() - 3.0 / 120.0).abs() < 1e-12);
         assert_eq!(est.pending_count(), 0);
@@ -317,15 +292,15 @@ mod tests {
 
     #[test]
     fn current_estimate_caps_stale_measurements() {
-        let mut est = RateEstimator::with_max_window(2, SimDuration::MAX);
+        let mut est = RateEstimator::new();
         // Complete a measurement at a high rate: 2 probes / 2 s = 1.0/s.
-        est.on_probe(t(0.0));
-        est.on_probe(t(1.0));
-        est.on_probe(t(2.0));
+        est.on_probe(t(0.0), 2, NO_CAP);
+        est.on_probe(t(1.0), 2, NO_CAP);
+        est.on_probe(t(2.0), 2, NO_CAP);
         assert!((est.latest().unwrap().per_second() - 1.0).abs() < 1e-12);
         // Then the stream dries up; two stragglers over 400 s.
-        est.on_probe(t(200.0));
-        est.on_probe(t(400.0));
+        est.on_probe(t(200.0), 2, NO_CAP);
+        est.on_probe(t(400.0), 2, NO_CAP);
         let min_elapsed = SimDuration::from_secs(50);
         let reported = est.current_estimate(t(400.0), min_elapsed).unwrap();
         // The open window (2 probes over 398 s) caps the stale 1.0/s.
@@ -337,16 +312,15 @@ mod tests {
 
     #[test]
     fn current_estimate_requires_evidence() {
-        let est = RateEstimator::new(32);
         let min_elapsed = SimDuration::from_secs(50);
+        let mut est = RateEstimator::new();
         // No probes at all: nothing to report.
         assert_eq!(est.current_estimate(t(100.0), min_elapsed), None);
-        let mut est = RateEstimator::new(32);
-        est.on_probe(t(0.0)); // arms only (count 0)
+        est.on_probe(t(0.0), 32, NO_CAP); // arms only (count 0)
         assert_eq!(est.current_estimate(t(100.0), min_elapsed), None);
-        est.on_probe(t(10.0)); // count 1: still below the 2-probe floor
+        est.on_probe(t(10.0), 32, NO_CAP); // count 1: still below the 2-probe floor
         assert_eq!(est.current_estimate(t(100.0), min_elapsed), None);
-        est.on_probe(t(20.0)); // count 2 and window old enough
+        est.on_probe(t(20.0), 32, NO_CAP); // count 2 and window old enough
         let m = est.current_estimate(t(100.0), min_elapsed).unwrap();
         assert!((m.per_second() - 0.02).abs() < 1e-12);
         // A too-young window reports nothing even with 2 probes.
@@ -354,9 +328,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "k must be at least 1")]
-    fn zero_k_rejected() {
-        let _ = RateEstimator::new(0);
+    fn estimator_footprint_stays_small() {
+        // One estimator per sensor: the open window and the last
+        // measurement, with k and the window cap left in the config.
+        assert!(
+            std::mem::size_of::<RateEstimator>() <= 24,
+            "RateEstimator grew to {} bytes",
+            std::mem::size_of::<RateEstimator>()
+        );
     }
 
     #[test]

@@ -70,6 +70,9 @@ pub struct ModelWorld {
     /// In-flight frames, one slot per directed edge (`from * n + to`).
     pub(crate) flights: Vec<Option<Message>>,
     pub(crate) deaths_left: u32,
+    /// Reused action buffer for [`PeasNode::on_input_into`]; empty
+    /// between events.
+    actions: Vec<Action>,
 }
 
 impl ModelWorld {
@@ -93,14 +96,15 @@ impl ModelWorld {
             timers: vec![Timers::default(); n],
             flights: vec![None; n * n],
             deaths_left: 0,
+            actions: Vec::new(),
         };
         world.deaths_left = world.cfg.deaths;
         for i in 0..world.cfg.nodes {
             let mut node = PeasNode::with_shared_config(NodeId(i), Arc::clone(&peas));
             let mut rng = SimRng::new(MODEL_RNG_SEED ^ u64::from(i));
-            let actions = node.start(&mut rng);
+            let boot = node.start(&mut rng);
             world.nodes.push(node);
-            world.process(i, actions);
+            world.process(i, &[boot]);
         }
         world
     }
@@ -332,13 +336,16 @@ impl ModelWorld {
     fn feed(&mut self, node: u32, input: Input) {
         let now = self.now();
         let mut rng = SimRng::new(MODEL_RNG_SEED ^ u64::from(node));
-        let actions = self.nodes[node as usize].on_input(now, input, &mut rng);
-        self.process(node, actions);
+        let mut actions = std::mem::take(&mut self.actions);
+        self.nodes[node as usize].on_input_into(now, input, &mut rng, &mut actions);
+        self.process(node, &actions);
+        actions.clear();
+        self.actions = actions;
     }
 
-    fn process(&mut self, node: u32, actions: Vec<Action>) {
+    fn process(&mut self, node: u32, actions: &[Action]) {
         let i = node as usize;
-        for action in actions {
+        for &action in actions {
             match action {
                 Action::Schedule { timer, .. } => match timer {
                     Timer::Wake => self.timers[i].wake = true,

@@ -137,6 +137,24 @@ fn malformed_terrain_rasters_are_reported_at_the_key() {
 }
 
 #[test]
+fn oversized_probe_count_is_rejected_at_compile_time() {
+    // Four billion PROBEs per wakeup would have the first wakeup ask its
+    // host for 160 GB of timers; compilation refuses it, before any world
+    // is built.
+    let peas = |count: &str| format!("[deployment]\ncount = 60\n\n[peas]\nprobe_count = {count}\n");
+    for count in ["17", "4000000000"] {
+        let err = compile_err(&peas(count));
+        assert_eq!(
+            err.message,
+            "invalid scenario: invalid PEAS configuration: probe_count must be at most 16"
+        );
+    }
+    for count in ["3", "16"] {
+        assert!(compile(&parse(&peas(count)).expect("parses"), "test").is_ok());
+    }
+}
+
+#[test]
 fn terrain_raster_must_cover_the_field() {
     // 6x6 at 5 m spans 25 m; the default paper field is 50 x 50 m.
     let err = compile_err(

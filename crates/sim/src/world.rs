@@ -222,6 +222,9 @@ pub struct World {
     in_flight: Vec<Option<(TxId, u32, Payload)>>,
     /// Reused delivery buffer for [`Medium::complete_into`].
     deliveries_buf: Vec<Delivery>,
+    /// Reused action buffer for [`PeasNode::on_input_into`]. It is taken
+    /// out while its actions are applied (see [`World::drive_peas`]).
+    peas_actions: Vec<PeasAction>,
     coverage: CoverageGrid,
     /// Precomputed sensor→cell coverage rows: one Working transition is a
     /// pure counter walk over the node's row (exactly what rasterizing its
@@ -348,11 +351,8 @@ impl World {
                 .battery
                 .push(Battery::new(config.battery.draw(&mut battery_rng)));
             let mut rng = SimRng::stream(seed, 100 + i as u64);
-            let actions = peas.start(&mut rng);
-            for action in actions {
-                if let PeasAction::Schedule { timer, after } = action {
-                    sim.schedule_after(after, nodes.timers.event(node_u32(i), timer));
-                }
+            if let PeasAction::Schedule { timer, after } = peas.start(&mut rng) {
+                sim.schedule_after(after, nodes.timers.event(node_u32(i), timer));
             }
             nodes.peas.push(peas);
             nodes.rng.push(rng);
@@ -391,7 +391,6 @@ impl World {
                 working_pos.push(positions[i]);
             }
         }
-        let total_wakeups = nodes.peas.iter().map(|p| p.stats().wakeups).sum();
 
         let coverage = CoverageGrid::new(config.field, config.metrics.coverage_resolution);
         // Sensors only: the GRAB infrastructure nodes do not sense.
@@ -419,7 +418,7 @@ impl World {
             working_pos,
             working_slot,
             census,
-            total_wakeups,
+            total_wakeups: 0,
             source,
             sink,
             source_idx,
@@ -427,6 +426,7 @@ impl World {
             infra_tx_busy: [SimTime::ZERO; 2],
             in_flight: Vec::new(),
             deliveries_buf: Vec::new(),
+            peas_actions: Vec::new(),
             #[cfg(debug_assertions)]
             coverage_buf: Vec::new(),
             samples: Vec::new(),
@@ -585,36 +585,6 @@ impl World {
         out
     }
 
-    /// Probing rates λ of alive sleeping sensors (diagnostics).
-    pub fn sleeper_rates(&self) -> Vec<f64> {
-        self.nodes
-            .peas
-            .iter()
-            .zip(&self.nodes.alive)
-            .filter(|(p, &alive)| alive && p.mode() == Mode::Sleeping)
-            .map(|(p, _)| p.rate())
-            .collect()
-    }
-
-    /// Current reported estimates λ̂ of alive working sensors (diagnostics):
-    /// what a REPLY sent right now would carry.
-    pub fn worker_estimates(&self) -> Vec<Option<f64>> {
-        let now = self.sim.now();
-        let min_elapsed =
-            peas_des::time::SimDuration::from_secs_f64(1.0 / self.cfg.peas.desired_rate);
-        self.nodes
-            .peas
-            .iter()
-            .zip(&self.nodes.alive)
-            .filter(|(p, &alive)| alive && p.mode() == Mode::Working)
-            .map(|(p, _)| {
-                p.estimator()
-                    .current_estimate(now, min_elapsed)
-                    .map(|m| m.per_second())
-            })
-            .collect()
-    }
-
     /// Aggregated GRAB relay counters:
     /// (forwarded, dropped_budget, dropped_gradient, duplicates).
     pub fn grab_relay_totals(&self) -> (u64, u64, u64, u64) {
@@ -676,7 +646,7 @@ impl World {
         let mut ledger = EnergyLedger::new();
         let mut consumed = 0.0;
         for i in 0..self.nodes.len() {
-            node_stats.merge(self.nodes.peas[i].stats());
+            node_stats.merge(&self.nodes.peas[i].stats());
             ledger.merge(&self.nodes.ledger[i]);
             consumed += self.nodes.battery[i].consumed_j();
         }
@@ -745,15 +715,26 @@ impl World {
 
     /// Feeds one input to a sensor's PEAS machine and applies the actions,
     /// keeping the GRAB relay in sync with Working-mode membership.
+    ///
+    /// The node writes into the world's one action buffer, which is taken
+    /// out of `self` while its actions are applied: a send there can
+    /// drain the battery and kill the node, and nothing that handler runs
+    /// may write into the buffer being drained. `kill` returns its four
+    /// cancels by value, so today nothing does; a nested `drive_peas`
+    /// would find an empty buffer, not this one.
     fn drive_peas(&mut self, now: SimTime, idx: usize, input: PeasInput) {
         let mode_before = self.nodes.peas[idx].mode();
         let was_working = mode_before == Mode::Working;
-        let wakeups_before = self.nodes.peas[idx].stats().wakeups;
+        let mut actions = std::mem::take(&mut self.peas_actions);
         // Split borrows: the PEAS machines and RNG streams are separate lanes.
-        let actions = self.nodes.peas[idx].on_input(now, input, &mut self.nodes.rng[idx]);
-        self.total_wakeups += self.nodes.peas[idx].stats().wakeups - wakeups_before;
+        self.nodes.peas[idx].on_input_into(now, input, &mut self.nodes.rng[idx], &mut actions);
         let mode_after = self.nodes.peas[idx].mode();
         if mode_after != mode_before {
+            // Sleeping → Probing is a wakeup, and the only move of the
+            // node's wakeup counter.
+            if mode_before == Mode::Sleeping && mode_after == Mode::Probing {
+                self.total_wakeups += 1;
+            }
             self.on_mode_transition(idx, mode_before, mode_after);
             self.emit(
                 now,
@@ -772,11 +753,13 @@ impl World {
                 grab.reset();
             }
         }
-        self.apply_peas_actions(now, idx, actions);
+        self.apply_peas_actions(now, idx, &actions);
+        actions.clear();
+        self.peas_actions = actions;
     }
 
-    fn apply_peas_actions(&mut self, now: SimTime, idx: usize, actions: Vec<PeasAction>) {
-        for action in actions {
+    fn apply_peas_actions(&mut self, now: SimTime, idx: usize, actions: &[PeasAction]) {
+        for &action in actions {
             match action {
                 PeasAction::Schedule { timer, after } => {
                     let event = self.nodes.timers.event(node_u32(idx), timer);
@@ -1502,22 +1485,6 @@ mod tests {
     }
 
     #[test]
-    fn diagnostics_expose_rates_and_estimates() {
-        let mut c = quick_config(60, 4);
-        c.horizon = SimTime::from_secs(600);
-        let mut world = World::new(c);
-        world.run_until(SimTime::from_secs(500));
-        let sleepers = world.sleeper_rates();
-        assert!(!sleepers.is_empty());
-        assert!(sleepers.iter().all(|&r| r > 0.0 && r.is_finite()));
-        let estimates = world.worker_estimates();
-        assert!(!estimates.is_empty());
-        for e in estimates.into_iter().flatten() {
-            assert!(e > 0.0 && e.is_finite());
-        }
-    }
-
-    #[test]
     fn tracing_observes_the_protocol_without_perturbing_it() {
         use crate::trace::TraceCounts;
         use std::cell::RefCell;
@@ -1617,6 +1584,26 @@ mod tests {
             }
         }
         assert_eq!(probe_sends, world.cfg.peas.probe_count);
+    }
+
+    #[test]
+    fn a_send_that_empties_the_battery_kills_its_sender_mid_drain() {
+        // The PROBE's transmit charge empties the battery, so applying the
+        // node's Broadcast kills it while its actions are being drained.
+        let mut world = lone_sensor();
+        world.drive_peas(SimTime::ZERO, 0, PeasInput::WakeUp);
+        let capacity = world.peas_actions.capacity();
+        assert!(capacity > 0 && world.peas_actions.is_empty());
+        world.nodes.battery[0] = Battery::new(1e-6);
+        world.drive_peas(SimTime::ZERO, 0, PeasInput::ProbeSendTimer);
+        assert!(!world.nodes.alive[0]);
+        assert_eq!(world.nodes.peas[0].mode(), Mode::Dead);
+        assert_eq!(world.energy_deaths, 1);
+        // The frame still went out, and the buffer came back empty and
+        // as large as it was.
+        assert_eq!(world.medium.stats().frames_sent, 1);
+        assert!(world.peas_actions.is_empty());
+        assert_eq!(world.peas_actions.capacity(), capacity);
     }
 
     #[test]
