@@ -13,14 +13,18 @@
 //!   all                        everything above
 //! ```
 //!
-//! `--quick` shrinks the sweeps (3 deployment points, 3 failure rates,
-//! 2 seeds) for CI-speed runs; without it, the paper-scale sweeps
-//! (5 × 5 and 9 × 5 runs) take some minutes.
+//! The deployment sweep (Figures 9–11, Table 1) is the one
+//! `scenarios/fig9.peas` declares, and the failure sweep (Figures 12–14)
+//! the one `scenarios/fig12.peas` declares; a missing or sweep-less file
+//! exits 1, naming it. `--seeds` replaces every experiment's seeds.
+//! `--quick` keeps each sweep's first, middle and last values and two
+//! seeds (3 × 2 runs per sweep) for CI-speed runs; without it, the
+//! paper-scale sweeps (5 × 5 and 9 × 5 runs) take some seconds each.
 
 use std::env;
 use std::process::ExitCode;
 
-use peas_bench::experiments::{self, ExperimentOpts};
+use peas_bench::experiments::{self, ExperimentOpts, Sweep};
 use peas_bench::{out, outln, Cli};
 
 const CLI: Cli = Cli {
@@ -57,85 +61,89 @@ fn main() -> ExitCode {
             .map(str::parse)
             .collect::<Result<Vec<u64>, _>>()
         {
-            Ok(seeds) if !seeds.is_empty() => opts.seeds = seeds,
+            Ok(seeds) if !seeds.is_empty() => opts.seeds = Some(seeds),
             _ => return CLI.usage_error("--seeds needs a comma-separated list of integers"),
         }
     }
 
     let t0 = std::time::Instant::now();
-    match command {
-        "fig9" => out!("{}", experiments::fig9(&opts.run_deployment_sweep())),
-        "fig10" => out!("{}", experiments::fig10(&opts.run_deployment_sweep())),
-        "fig11" => out!("{}", experiments::fig11(&opts.run_deployment_sweep())),
-        "table1" => out!("{}", experiments::table1(&opts.run_deployment_sweep())),
-        "fig12" => out!("{}", experiments::fig12(&opts.run_failure_sweep())),
-        "fig13" => out!("{}", experiments::fig13(&opts.run_failure_sweep())),
-        "fig14" => out!("{}", experiments::fig14(&opts.run_failure_sweep())),
-        "sweep-n" => {
-            let points = opts.run_deployment_sweep();
-            out!(
-                "{}\n{}\n{}\n{}",
-                experiments::fig9(&points),
-                experiments::fig10(&points),
-                experiments::fig11(&points),
-                experiments::table1(&points)
-            );
+    match run(command, &opts) {
+        Ok(true) => {}
+        Ok(false) => return CLI.usage_error(&format!("unknown command `{command}`")),
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
         }
-        "sweep-f" => {
-            let points = opts.run_failure_sweep();
-            out!(
-                "{}\n{}\n{}",
-                experiments::fig12(&points),
-                experiments::fig13(&points),
-                experiments::fig14(&points)
-            );
-        }
-        "kaccuracy" => out!("{}", experiments::kaccuracy()),
-        "adaptive" => out!("{}", experiments::adaptive(&opts)),
-        "gaps" => out!("{}", experiments::gaps()),
-        "connectivity" => out!("{}", experiments::connectivity(&opts)),
-        "loss" => out!("{}", experiments::loss(&opts)),
-        "deployment" => out!("{}", experiments::deployment_dist(&opts)),
-        "irregular" => out!("{}", experiments::irregular(&opts)),
-        "events" => out!("{}", experiments::events(&opts)),
-        "rp" => out!("{}", experiments::rp_sweep(&opts)),
-        "lambdad" => out!("{}", experiments::lambdad_sweep(&opts)),
-        "turnoff" => out!("{}", experiments::turnoff(&opts)),
-        "baselines" => out!("{}", experiments::baselines(&opts)),
-        "all" => {
-            let points_n = opts.run_deployment_sweep();
-            out!(
-                "{}\n{}\n{}\n{}\n",
-                experiments::fig9(&points_n),
-                experiments::fig10(&points_n),
-                experiments::fig11(&points_n),
-                experiments::table1(&points_n)
-            );
-            let points_f = opts.run_failure_sweep();
-            out!(
-                "{}\n{}\n{}\n",
-                experiments::fig12(&points_f),
-                experiments::fig13(&points_f),
-                experiments::fig14(&points_f)
-            );
-            out!(
-                "{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n",
-                experiments::kaccuracy(),
-                experiments::adaptive(&opts),
-                experiments::gaps(),
-                experiments::connectivity(&opts),
-                experiments::loss(&opts),
-                experiments::turnoff(&opts),
-                experiments::deployment_dist(&opts),
-                experiments::irregular(&opts),
-                experiments::baselines(&opts)
-            );
-            outln!("{}", experiments::events(&opts));
-            outln!("{}", experiments::rp_sweep(&opts));
-            outln!("{}", experiments::lambdad_sweep(&opts));
-        }
-        other => return CLI.usage_error(&format!("unknown command `{other}`")),
     }
     eprintln!("[paper] {command} finished in {:.1?}", t0.elapsed());
     ExitCode::SUCCESS
+}
+
+/// Prints the artifacts of `command`; `Ok(false)` when there is no such
+/// command.
+fn run(command: &str, opts: &ExperimentOpts) -> Result<bool, String> {
+    let sweep = |scenario| opts.sweep(scenario).map(Sweep::run);
+    let sweep_n = || -> Result<String, String> {
+        let points = sweep("fig9")?;
+        Ok(format!(
+            "{}\n{}\n{}\n{}",
+            experiments::fig9(&points),
+            experiments::fig10(&points),
+            experiments::fig11(&points),
+            experiments::table1(&points)
+        ))
+    };
+    let sweep_f = || -> Result<String, String> {
+        let points = sweep("fig12")?;
+        Ok(format!(
+            "{}\n{}\n{}",
+            experiments::fig12(&points),
+            experiments::fig13(&points),
+            experiments::fig14(&points)
+        ))
+    };
+    match command {
+        "fig9" => out!("{}", experiments::fig9(&sweep("fig9")?)),
+        "fig10" => out!("{}", experiments::fig10(&sweep("fig9")?)),
+        "fig11" => out!("{}", experiments::fig11(&sweep("fig9")?)),
+        "table1" => out!("{}", experiments::table1(&sweep("fig9")?)),
+        "fig12" => out!("{}", experiments::fig12(&sweep("fig12")?)),
+        "fig13" => out!("{}", experiments::fig13(&sweep("fig12")?)),
+        "fig14" => out!("{}", experiments::fig14(&sweep("fig12")?)),
+        "sweep-n" => out!("{}", sweep_n()?),
+        "sweep-f" => out!("{}", sweep_f()?),
+        "kaccuracy" => out!("{}", experiments::kaccuracy()),
+        "adaptive" => out!("{}", experiments::adaptive(opts)),
+        "gaps" => out!("{}", experiments::gaps()),
+        "connectivity" => out!("{}", experiments::connectivity(opts)),
+        "loss" => out!("{}", experiments::loss(opts)),
+        "deployment" => out!("{}", experiments::deployment_dist(opts)),
+        "irregular" => out!("{}", experiments::irregular(opts)),
+        "events" => out!("{}", experiments::events(opts)),
+        "rp" => out!("{}", experiments::rp_sweep(opts)),
+        "lambdad" => out!("{}", experiments::lambdad_sweep(opts)),
+        "turnoff" => out!("{}", experiments::turnoff(opts)),
+        "baselines" => out!("{}", experiments::baselines(opts)),
+        "all" => {
+            outln!("{}", sweep_n()?);
+            outln!("{}", sweep_f()?);
+            out!(
+                "{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n{}\n",
+                experiments::kaccuracy(),
+                experiments::adaptive(opts),
+                experiments::gaps(),
+                experiments::connectivity(opts),
+                experiments::loss(opts),
+                experiments::turnoff(opts),
+                experiments::deployment_dist(opts),
+                experiments::irregular(opts),
+                experiments::baselines(opts)
+            );
+            outln!("{}", experiments::events(opts));
+            outln!("{}", experiments::rp_sweep(opts));
+            outln!("{}", experiments::lambdad_sweep(opts));
+        }
+        _ => return Ok(false),
+    }
+    Ok(true)
 }

@@ -34,7 +34,7 @@ use peas_bench::{corpus_dir, out, outln, scenario_path, Cli};
 use peas_des::time::SimTime;
 use peas_model::{emit_peas, shrink_nodes, shrink_trace, FoundViolation};
 use peas_scenario::{first_divergence, load_compiled, CompiledScenario, ModelSpec, Snapshot};
-use peas_sim::{encode_report, RunReport, Runner, ScenarioConfig, TraceEvent, World};
+use peas_sim::{encode_report, run_all, RunReport, ScenarioConfig, TraceEvent, World};
 
 const USAGE: &str = "\
 usage: scenario <command> [<name|path.peas> ...|all] [flags]
@@ -102,7 +102,7 @@ fn snapshot_of(scenario: &CompiledScenario) -> Result<Snapshot, String> {
         return model_snapshot(scenario);
     }
     Ok(Snapshot::of_report(
-        &Runner::new(scenario.golden_config()).run_single(),
+        &World::new(scenario.golden_config()).run(),
     ))
 }
 
@@ -235,7 +235,7 @@ fn run_simulation(entry: &Entry, opts: &RunOpts) -> Result<(), String> {
             .map(|config| run_exported(config, opts))
             .collect::<Result<Vec<_>, _>>()?
     } else {
-        Runner::configs(configs).run()
+        run_all(configs)
     };
     for (label, report) in labels.iter().zip(&reports) {
         if opts.json {

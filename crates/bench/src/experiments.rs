@@ -1,4 +1,13 @@
 //! The figure/table formatters: each returns a paper-style text block.
+//!
+//! Figures 9–11 and Table 1 read off one deployment-number sweep, and
+//! Figures 12–14 off one failure-rate sweep. Each sweep is defined once,
+//! by its scenario file (`scenarios/fig9.peas`, `scenarios/fig12.peas`),
+//! the same file `scenario`, `sweep` and `serve` run; [`ExperimentOpts::sweep`]
+//! loads it, and running it once and formatting several artifacts from it
+//! mirrors how the paper's own numbers were produced (Section 5.2: "Given
+//! each node population, the results are averaged over 5 simulation
+//! runs").
 
 use std::fmt::Write as _;
 
@@ -6,23 +15,28 @@ use peas::PeasConfig;
 use peas_analysis::{linear_fit, mean_gaps, GapModel, Summary};
 use peas_des::time::SimTime;
 use peas_geom::CONNECTIVITY_FACTOR;
-use peas_sim::{Runner, ScenarioConfig, World};
+use peas_scenario::{load_compiled, Value};
+use peas_sim::{run_all, RunReport, ScenarioConfig, World};
 
-use crate::sweeps::{
-    deployment_sweep, failure_sweep, SweepPoint, PAPER_FAILURE_RATES, PAPER_NODE_COUNTS,
-    PAPER_SEEDS, QUICK_FAILURE_RATES, QUICK_NODE_COUNTS, QUICK_SEEDS,
-};
+use crate::scenario_path;
 
 /// The paper's lifetime threshold (Section 5.2).
 pub const LIFETIME_THRESHOLD: f64 = 0.9;
 
+/// The seeds of the experiments that have no scenario file yet: the
+/// paper's five runs per point (Section 5.2).
+const PAPER_SEEDS: [u64; 5] = [101, 102, 103, 104, 105];
+
 /// Scale and seed options for the experiments.
 #[derive(Clone, Debug)]
 pub struct ExperimentOpts {
-    /// Reduced sweeps for fast runs (`paper --quick`, tests).
+    /// Reduced runs for speed (`paper --quick`, tests): a sweep keeps
+    /// its first, middle and last values, and every experiment its
+    /// first two seeds.
     pub quick: bool,
-    /// Seeds per sweep point.
-    pub seeds: Vec<u64>,
+    /// `--seeds`: replaces the seeds of every experiment, the sweeps'
+    /// included.
+    pub seeds: Option<Vec<u64>>,
 }
 
 impl ExperimentOpts {
@@ -30,7 +44,7 @@ impl ExperimentOpts {
     pub fn full() -> ExperimentOpts {
         ExperimentOpts {
             quick: false,
-            seeds: PAPER_SEEDS.to_vec(),
+            seeds: None,
         }
     }
 
@@ -38,37 +52,123 @@ impl ExperimentOpts {
     pub fn quick() -> ExperimentOpts {
         ExperimentOpts {
             quick: true,
-            seeds: QUICK_SEEDS.to_vec(),
+            seeds: None,
         }
     }
 
-    /// The deployment numbers this configuration sweeps.
-    pub fn node_counts(&self) -> Vec<usize> {
+    /// The seeds of an experiment that declares `declared`: `--seeds`
+    /// if given, else the first two under `--quick`, else all of them.
+    fn seeds_of(&self, declared: &[u64]) -> Vec<u64> {
+        match &self.seeds {
+            Some(seeds) => seeds.clone(),
+            None if self.quick => declared.iter().take(2).copied().collect(),
+            None => declared.to_vec(),
+        }
+    }
+
+    /// The seeds of the experiments that have no scenario file.
+    pub fn seeds(&self) -> Vec<u64> {
+        self.seeds_of(&PAPER_SEEDS)
+    }
+
+    /// Runs `config` once per seed of [`ExperimentOpts::seeds`].
+    fn run_seeds(&self, config: &ScenarioConfig) -> Vec<RunReport> {
+        run_all(
+            self.seeds()
+                .into_iter()
+                .map(|seed| config.clone().with_seed(seed))
+                .collect(),
+        )
+    }
+
+    /// Loads the sweep a scenario (a corpus stem such as `fig9`, or a
+    /// `.peas` path) declares, cut to this configuration's grid.
+    ///
+    /// # Errors
+    ///
+    /// A file that does not load, declares no `[sweeps]`, or sweeps a
+    /// value that is not a number; the message names the file.
+    pub fn sweep(&self, scenario: &str) -> Result<Sweep, String> {
+        let path = scenario_path(scenario);
+        let mut compiled = load_compiled(&path).map_err(|e| e.to_string())?;
+        let Some(spec) = compiled.sweep.as_mut() else {
+            return Err(format!("{}: declares no [sweeps]", path.display()));
+        };
         if self.quick {
-            QUICK_NODE_COUNTS.to_vec()
-        } else {
-            PAPER_NODE_COUNTS.to_vec()
+            // The compiler rejects an empty `values` list.
+            let n = spec.values.len();
+            let mut keep = vec![0, n / 2, n - 1];
+            keep.dedup();
+            spec.values = keep.iter().map(|&i| spec.values[i].clone()).collect();
+            spec.point_bases = keep.iter().map(|&i| spec.point_bases[i].clone()).collect();
         }
+        spec.seeds = self.seeds_of(&spec.seeds);
+        let xs = spec
+            .values
+            .iter()
+            .map(|value| match value {
+                Value::Int(i) => Ok(*i as f64),
+                Value::Float(x) => Ok(*x),
+                other => Err(format!(
+                    "{}: sweep value {other} is not a number",
+                    path.display()
+                )),
+            })
+            .collect::<Result<Vec<f64>, String>>()?;
+        let seeds = spec.seeds.clone();
+        let configs = compiled.runs().into_iter().map(|run| run.config).collect();
+        Ok(Sweep { xs, seeds, configs })
     }
+}
 
-    /// The failure rates this configuration sweeps.
-    pub fn failure_rates(&self) -> Vec<f64> {
-        if self.quick {
-            QUICK_FAILURE_RATES.to_vec()
-        } else {
-            PAPER_FAILURE_RATES.to_vec()
-        }
-    }
+/// A paper sweep loaded from its scenario file: one point per sweep
+/// value, each run once per seed.
+#[derive(Clone, Debug)]
+pub struct Sweep {
+    /// Each point's x: its sweep value (deployment number, failure
+    /// rate, …), in declaration order.
+    pub xs: Vec<f64>,
+    /// The seeds every point runs under, in order.
+    pub seeds: Vec<u64>,
+    /// One config per (point, seed), values-major: each point's runs
+    /// are consecutive, in seed order.
+    pub configs: Vec<ScenarioConfig>,
+}
 
-    /// Runs (or reuses) the deployment sweep.
-    pub fn run_deployment_sweep(&self) -> Vec<SweepPoint> {
-        deployment_sweep(&self.node_counts(), &self.seeds)
+impl Sweep {
+    /// Runs every config through [`run_all`] and groups the reports into
+    /// one point per x.
+    pub fn run(self) -> Vec<SweepPoint> {
+        let mut reports = run_all(self.configs).into_iter();
+        self.xs
+            .into_iter()
+            .map(|x| SweepPoint {
+                x,
+                reports: reports.by_ref().take(self.seeds.len()).collect(),
+            })
+            .collect()
     }
+}
 
-    /// Runs (or reuses) the failure sweep.
-    pub fn run_failure_sweep(&self) -> Vec<SweepPoint> {
-        failure_sweep(480, &self.failure_rates(), &self.seeds)
+/// One sweep point: the x-value and the per-seed reports.
+#[derive(Debug)]
+pub struct SweepPoint {
+    /// Deployment number or failure rate, depending on the sweep.
+    pub x: f64,
+    /// One report per seed.
+    pub reports: Vec<RunReport>,
+}
+
+impl SweepPoint {
+    /// Mean of a metric over the seeds.
+    pub fn mean<F: Fn(&RunReport) -> f64>(&self, metric: F) -> f64 {
+        mean(&self.reports, metric)
     }
+}
+
+/// Mean of a metric over `reports`.
+fn mean(reports: &[RunReport], metric: impl Fn(&RunReport) -> f64) -> f64 {
+    reports.iter().map(metric).sum::<f64>() / reports.len() as f64
 }
 
 fn fit_note(points: &[(f64, f64)]) -> String {
@@ -268,10 +368,10 @@ pub fn adaptive(opts: &ExperimentOpts) -> String {
         .rate_bounds(0.02 - 1e-9, 0.02 + 1e-9)
         .build();
 
-    let adaptive_reports = Runner::new(adaptive_cfg.clone()).seeds(&opts.seeds).run();
-    let fixed_reports = Runner::new(fixed_cfg.clone()).seeds(&opts.seeds).run();
+    let adaptive_reports = opts.run_seeds(&adaptive_cfg);
+    let fixed_reports = opts.run_seeds(&fixed_cfg);
     for (t0, t1) in [(500.0, 1500.0), (1500.0, 2500.0), (2500.0, 3500.0)] {
-        let mean_rate = |reports: &[peas_sim::RunReport]| {
+        let mean_rate = |reports: &[RunReport]| {
             let vals: Vec<f64> = reports
                 .iter()
                 .filter_map(|r| r.perceived_aggregate_rate(t0, t1))
@@ -313,12 +413,13 @@ pub fn gaps() -> String {
 
 /// Section 3: empirical connectivity validation on PEAS working sets.
 pub fn connectivity(opts: &ExperimentOpts) -> String {
+    let seeds = opts.seeds();
     let n = if opts.quick { 240 } else { 480 };
     let mut out = format!(
         "Section 3 — connectivity of PEAS working sets (N = {n}, Rp = 3 m)\n\
          seed   workers   max-NN (m)   bound (m)   lemma   conn@(1+sqrt5)Rp   conn@10m\n",
     );
-    for &seed in &opts.seeds {
+    for &seed in &seeds {
         let mut config = ScenarioConfig::paper(n)
             .with_failure_rate(0.0)
             .with_seed(seed);
@@ -367,23 +468,13 @@ pub fn loss(opts: &ExperimentOpts) -> String {
             config.loss_rate = loss_rate;
             config.peas = PeasConfig::builder().probe_count(probe_count).build();
             config.horizon = SimTime::from_secs(3_000);
-            let reports = Runner::new(config.clone()).seeds(&opts.seeds).run();
-            let mean_working = reports
-                .iter()
-                .map(|r| r.working_series().value_at(2_500.0))
-                .sum::<f64>()
-                / reports.len() as f64;
-            let spurious = reports
-                .iter()
-                .map(|r| {
-                    r.node_stats.window_silent as f64
-                        / (r.node_stats.window_silent + r.node_stats.window_with_reply).max(1)
-                            as f64
-                })
-                .sum::<f64>()
-                / reports.len() as f64;
-            let overhead =
-                reports.iter().map(|r| r.overhead_ratio()).sum::<f64>() / reports.len() as f64;
+            let reports = opts.run_seeds(&config);
+            let mean_working = mean(&reports, |r| r.working_series().value_at(2_500.0));
+            let spurious = mean(&reports, |r| {
+                r.node_stats.window_silent as f64
+                    / (r.node_stats.window_silent + r.node_stats.window_with_reply).max(1) as f64
+            });
+            let overhead = mean(&reports, |r| r.overhead_ratio());
             let _ = writeln!(
                 out,
                 "{:>4.2}   {:>6}   {:>12.1}   {:>16.3}   {:>13.3}%",
@@ -404,6 +495,7 @@ pub fn loss(opts: &ExperimentOpts) -> String {
 
 /// Section 4 ablation: the working-node turn-off rule.
 pub fn turnoff(opts: &ExperimentOpts) -> String {
+    let seeds = opts.seeds();
     let n = if opts.quick { 240 } else { 480 };
     let mut out = format!(
         "Section 4 — turn-off rule ablation (N = {n}, 10% loss, no failures)\n\
@@ -418,7 +510,7 @@ pub fn turnoff(opts: &ExperimentOpts) -> String {
         let mut working_sum = 0.0;
         let mut pair_sum = 0.0;
         let mut turnoffs = 0u64;
-        for &seed in &opts.seeds {
+        for &seed in &seeds {
             let mut world = World::new(config.clone().with_seed(seed));
             world.run_until(SimTime::from_secs(2_500));
             let working = world.working_positions();
@@ -434,14 +526,14 @@ pub fn turnoff(opts: &ExperimentOpts) -> String {
             pair_sum += pairs as f64;
             turnoffs += world.into_report().node_stats.turnoffs;
         }
-        let k = opts.seeds.len() as f64;
+        let k = seeds.len() as f64;
         let _ = writeln!(
             out,
             "{:>8}   {:>12.1}   {:>15.1}   {:>8}",
             enabled,
             working_sum / k,
             pair_sum / k,
-            turnoffs / opts.seeds.len() as u64
+            turnoffs / seeds.len() as u64
         );
     }
     out.push_str("the rule removes redundant (within-Rp) working pairs created by losses.\n");
@@ -453,6 +545,7 @@ pub fn baselines(opts: &ExperimentOpts) -> String {
     use peas_baselines::{
         AfecaLike, AlwaysOn, BaselineScenario, GafGrid, SleepScheduler, SynchronizedRounds,
     };
+    let seeds = opts.seeds();
     let ns: Vec<usize> = if opts.quick {
         vec![160, 480]
     } else {
@@ -465,26 +558,20 @@ pub fn baselines(opts: &ExperimentOpts) -> String {
     for &n in &ns {
         let scenario = BaselineScenario::paper(n).with_failures(10.66);
         let mean_life = |s: &dyn SleepScheduler| {
-            opts.seeds
+            seeds
                 .iter()
                 .map(|&seed| {
                     s.run(&scenario, seed)
                         .coverage_lifetime(1, LIFETIME_THRESHOLD)
                 })
                 .sum::<f64>()
-                / opts.seeds.len() as f64
+                / seeds.len() as f64
         };
-        let peas_life = {
-            let mut config = ScenarioConfig::paper(n);
-            config.grab = None;
-            Runner::new(config.clone())
-                .seeds(&opts.seeds)
-                .run()
-                .iter()
-                .map(|r| r.coverage_lifetime(1, LIFETIME_THRESHOLD))
-                .sum::<f64>()
-                / opts.seeds.len() as f64
-        };
+        let mut config = ScenarioConfig::paper(n);
+        config.grab = None;
+        let peas_life = mean(&opts.run_seeds(&config), |r| {
+            r.coverage_lifetime(1, LIFETIME_THRESHOLD)
+        });
         let _ = writeln!(
             out,
             "{:>5}   {:>9.0}   {:>11.0}   {:>8.0}   {:>10.0}   {:>6.0}",
@@ -524,17 +611,9 @@ pub fn deployment_dist(opts: &ExperimentOpts) -> String {
         let mut config = ScenarioConfig::paper(n);
         config.grab = None;
         config.deployment = deployment;
-        let reports = Runner::new(config.clone()).seeds(&opts.seeds).run();
-        let c4 = reports
-            .iter()
-            .map(|r| r.coverage_lifetime(4, LIFETIME_THRESHOLD))
-            .sum::<f64>()
-            / reports.len() as f64;
-        let c1 = reports
-            .iter()
-            .map(|r| r.coverage_lifetime(1, LIFETIME_THRESHOLD))
-            .sum::<f64>()
-            / reports.len() as f64;
+        let reports = opts.run_seeds(&config);
+        let c4 = mean(&reports, |r| r.coverage_lifetime(4, LIFETIME_THRESHOLD));
+        let c1 = mean(&reports, |r| r.coverage_lifetime(1, LIFETIME_THRESHOLD));
         let _ = writeln!(out, "{name:<15}   {c4:>18.0}   {c1:>18.0}");
     }
     out.push_str(
@@ -567,17 +646,9 @@ pub fn irregular(opts: &ExperimentOpts) -> String {
             config.peas = PeasConfig::builder().fixed_power(10.0).build();
         }
         config.horizon = SimTime::from_secs(3_000);
-        let reports = Runner::new(config.clone()).seeds(&opts.seeds).run();
-        let working = reports
-            .iter()
-            .map(|r| r.working_series().value_at(2_500.0))
-            .sum::<f64>()
-            / reports.len() as f64;
-        let cov = reports
-            .iter()
-            .map(|r| r.coverage_series(1).value_at(2_500.0))
-            .sum::<f64>()
-            / reports.len() as f64;
+        let reports = opts.run_seeds(&config);
+        let working = mean(&reports, |r| r.working_series().value_at(2_500.0));
+        let cov = mean(&reports, |r| r.coverage_series(1).value_at(2_500.0));
         let _ = writeln!(out, "{name:<25}   {working:>12.1}   {:>17.3}", cov);
     }
     out.push_str(
@@ -608,7 +679,7 @@ pub fn events(opts: &ExperimentOpts) -> String {
             rate_per_100s: 20.0,
         });
         config.horizon = SimTime::from_secs(4_000);
-        let reports = Runner::new(config.clone()).seeds(&opts.seeds).run();
+        let reports = opts.run_seeds(&config);
         let total =
             reports.iter().map(|r| r.events_total).sum::<u64>() as f64 / reports.len() as f64;
         let detected = reports
@@ -638,6 +709,7 @@ pub fn events(opts: &ExperimentOpts) -> String {
 /// Sensitivity: the probing range `Rp` (Section 2.1 — "The probing range
 /// determines the redundancy of working nodes").
 pub fn rp_sweep(opts: &ExperimentOpts) -> String {
+    let seeds = opts.seeds();
     let n = if opts.quick { 240 } else { 480 };
     let mut out = format!(
         "Sensitivity — probing range Rp (N = {n}, no failures, t = 2500 s)\n\
@@ -652,7 +724,7 @@ pub fn rp_sweep(opts: &ExperimentOpts) -> String {
         let mut cov1 = 0.0;
         let mut cov4 = 0.0;
         let mut connected = 0usize;
-        for &seed in &opts.seeds {
+        for &seed in &seeds {
             let mut world = World::new(config.clone().with_seed(seed));
             world.run_until(SimTime::from_secs(2_500));
             let positions = world.working_positions();
@@ -664,14 +736,14 @@ pub fn rp_sweep(opts: &ExperimentOpts) -> String {
             cov1 += report.coverage_series(1).value_at(2_500.0);
             cov4 += report.coverage_series(4).value_at(2_500.0);
         }
-        let k = opts.seeds.len() as f64;
+        let k = seeds.len() as f64;
         let _ = writeln!(
             out,
             "{rp:>6.1}   {:>12.1}   {:>10.3}   {:>10.3}   {connected:>7}/{}",
             working_sum / k,
             cov1 / k,
             cov4 / k,
-            opts.seeds.len()
+            seeds.len()
         );
     }
     out.push_str(
@@ -695,19 +767,12 @@ pub fn lambdad_sweep(opts: &ExperimentOpts) -> String {
         config.grab = None;
         config.peas = PeasConfig::builder().desired_rate(lambdad).build();
         config.horizon = SimTime::from_secs(4_000);
-        let reports = Runner::new(config.clone()).seeds(&opts.seeds).run();
-        let wakeups = reports
-            .iter()
-            .map(|r| r.wakeup_series().value_at(4_000.0) - r.wakeup_series().value_at(3_000.0))
-            .sum::<f64>()
-            / reports.len() as f64;
-        let overhead =
-            reports.iter().map(|r| r.overhead_ratio()).sum::<f64>() / reports.len() as f64;
-        let cov4 = reports
-            .iter()
-            .map(|r| r.coverage_series(4).value_at(3_500.0))
-            .sum::<f64>()
-            / reports.len() as f64;
+        let reports = opts.run_seeds(&config);
+        let wakeups = mean(&reports, |r| {
+            r.wakeup_series().value_at(4_000.0) - r.wakeup_series().value_at(3_000.0)
+        });
+        let overhead = mean(&reports, |r| r.overhead_ratio());
+        let cov4 = mean(&reports, |r| r.coverage_series(4).value_at(3_500.0));
         let _ = writeln!(
             out,
             "{lambdad:>8.3}   {wakeups:>14.0}   {:>13.3}%   {cov4:>12.3}",
@@ -725,12 +790,71 @@ pub fn lambdad_sweep(opts: &ExperimentOpts) -> String {
 mod tests {
     use super::*;
 
+    /// The deployment sweep's grid, read from `fig9.peas` without
+    /// running it: each point's runs are consecutive, one per seed.
     #[test]
-    fn opts_sweep_sizes() {
-        assert_eq!(ExperimentOpts::full().node_counts().len(), 5);
-        assert_eq!(ExperimentOpts::quick().node_counts().len(), 3);
-        assert_eq!(ExperimentOpts::full().failure_rates().len(), 9);
-        assert_eq!(ExperimentOpts::quick().seeds.len(), 2);
+    fn deployment_sweep_groups_into_points_of_seeds() {
+        let grid = |opts: ExperimentOpts| {
+            let sweep = opts.sweep("fig9").expect("fig9.peas declares a sweep");
+            let runs: Vec<(usize, u64)> = sweep
+                .configs
+                .iter()
+                .map(|c| (c.node_count, c.seed))
+                .collect();
+            let expected: Vec<(usize, u64)> = sweep
+                .xs
+                .iter()
+                .flat_map(|&x| sweep.seeds.iter().map(move |&seed| (x as usize, seed)))
+                .collect();
+            assert_eq!(runs, expected, "values-major, one run per seed");
+            (sweep.xs, sweep.seeds)
+        };
+        assert_eq!(
+            grid(ExperimentOpts::full()),
+            (
+                vec![160.0, 320.0, 480.0, 640.0, 800.0],
+                vec![101, 102, 103, 104, 105]
+            )
+        );
+        assert_eq!(
+            grid(ExperimentOpts::quick()),
+            (vec![160.0, 480.0, 800.0], vec![101, 102])
+        );
+        let seeded = ExperimentOpts {
+            quick: true,
+            seeds: Some(vec![7]),
+        };
+        assert_eq!(grid(seeded), (vec![160.0, 480.0, 800.0], vec![7]));
+    }
+
+    #[test]
+    fn failure_sweep_quick_grid_keeps_first_middle_and_last_rates() {
+        let sweep = ExperimentOpts::quick().sweep("fig12").expect("fig12 sweep");
+        assert_eq!(sweep.xs, [5.33, 26.66, 48.0]);
+        assert_eq!(sweep.configs.len(), 6);
+    }
+
+    #[test]
+    fn a_missing_or_sweepless_file_is_an_error_naming_it() {
+        let opts = ExperimentOpts::full();
+        let missing = opts.sweep("no-such-scenario").expect_err("missing file");
+        assert!(missing.contains("no-such-scenario.peas"), "{missing}");
+        let single = opts.sweep("smoke").expect_err("smoke.peas has no sweep");
+        assert!(
+            single.contains("smoke.peas") && single.contains("no [sweeps]"),
+            "{single}"
+        );
+    }
+
+    #[test]
+    fn experiment_seeds_follow_quick_and_the_seeds_flag() {
+        assert_eq!(ExperimentOpts::full().seeds(), PAPER_SEEDS);
+        assert_eq!(ExperimentOpts::quick().seeds(), [101, 102]);
+        let seeded = ExperimentOpts {
+            quick: false,
+            seeds: Some(vec![3, 4, 5]),
+        };
+        assert_eq!(seeded.seeds(), [3, 4, 5]);
     }
 
     #[test]
@@ -764,7 +888,7 @@ mod tests {
         cfg.horizon = SimTime::from_secs(200);
         let points = vec![SweepPoint {
             x: 40.0,
-            reports: Runner::new(cfg.clone()).seeds(&[1]).run(),
+            reports: run_all(vec![cfg.with_seed(1)]),
         }];
         for block in [
             fig9(&points),

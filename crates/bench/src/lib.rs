@@ -5,6 +5,10 @@
 //! experiment in [`experiments`] returns a formatted, paper-style text
 //! block; the `paper` binary prints them (`--quick` runs scaled-down
 //! sweeps), and the module's unit tests render every figure formatter.
+//! The two paper sweeps are not defined here: Figures 9–11 and Table 1
+//! run the sweep `scenarios/fig9.peas` declares, Figures 12–14 the one
+//! `scenarios/fig12.peas` declares ([`ExperimentOpts::sweep`]). Every
+//! batch of runs goes through [`peas_sim::run_all`].
 //!
 //! | Experiment | Paper artifact |
 //! |------------|----------------|
@@ -31,7 +35,6 @@
 
 pub mod experiments;
 pub mod model_gate;
-pub mod sweeps;
 
 pub use experiments::ExperimentOpts;
 
@@ -174,8 +177,10 @@ impl Args {
     ///
     /// A value that does not parse, or 0.
     pub fn workers(&self) -> Result<usize, String> {
-        let default = std::thread::available_parallelism().map_or(1, |n| n.get());
-        match self.parsed("workers")?.unwrap_or(default) {
+        match self
+            .parsed("workers")?
+            .unwrap_or_else(peas_des::par::default_workers)
+        {
             0 => Err("--workers must be at least 1".to_string()),
             n => Ok(n),
         }

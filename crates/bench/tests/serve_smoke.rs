@@ -10,7 +10,7 @@ use std::process::{Command, Output};
 
 use peas_scenario::{compile, load_str};
 use peas_sim::job::decode_outcome;
-use peas_sim::{encode_report, ResultCache, Runner};
+use peas_sim::{encode_report, run_all, ResultCache};
 
 /// The inline scenario every test job submits: a 2 x 2 sweep (two
 /// densities x two seeds) over a tiny fast field, exactly 4 shards.
@@ -36,7 +36,7 @@ fn reference_bytes() -> String {
     let compiled = compile(&doc, "reference").expect("compiles");
     let configs: Vec<_> = compiled.runs().into_iter().map(|r| r.config).collect();
     let mut out = String::new();
-    for report in Runner::configs(configs).run() {
+    for report in run_all(configs) {
         out.push_str(&encode_report(&report));
         out.push('\n');
     }

@@ -177,19 +177,19 @@ impl PeasNode {
     ///
     /// Panics if `config` is invalid (see [`PeasConfig::validate`]).
     pub fn new(id: NodeId, config: PeasConfig) -> PeasNode {
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         PeasNode::with_shared_config(id, Arc::new(config))
     }
 
     /// Like [`PeasNode::new`], but shares `config` with the other nodes
     /// built from the same `Arc` instead of carrying a copy of its own.
     ///
-    /// # Panics
-    ///
-    /// Panics if `config` is invalid (see [`PeasConfig::validate`]).
+    /// `config` must already have passed [`PeasConfig::validate`]: a host
+    /// validates it once for the whole network, not once per node (a
+    /// million-node world builds a million nodes from one `Arc`).
     pub fn with_shared_config(id: NodeId, config: Arc<PeasConfig>) -> PeasNode {
-        if let Err(e) = config.validate() {
-            panic!("{e}");
-        }
         let rate = config.initial_rate;
         PeasNode {
             id,

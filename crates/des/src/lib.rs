@@ -20,7 +20,9 @@
 //!   replacements for the banned `std` hash collections (`peas-lint`
 //!   rule `d1-std-hash`);
 //! * [`fnv`] — [`fnv1a`], the content hash behind every pinned
-//!   fingerprint.
+//!   fingerprint;
+//! * [`par`] — the one worker pool: a claim-counter batch runner and an
+//!   input-ordered parallel map.
 //!
 //! # Example: a minimal wake/sleep process
 //!
@@ -54,6 +56,7 @@ pub mod event;
 pub mod fnv;
 pub mod heap_ref;
 pub mod ladder;
+pub mod par;
 pub mod rng;
 pub mod sim;
 pub mod time;

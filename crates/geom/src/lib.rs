@@ -17,9 +17,7 @@
 //!   the data substrate for terrain-aware propagation backends;
 //! * [`connectivity`] — the working-graph analysis behind Section 3's
 //!   `Rt ≥ (1 + √5)·Rp` connectivity condition;
-//! * [`UnionFind`] — the disjoint-set forest used by the above;
-//! * [`three_d`] — the 3-D variant the paper's footnote 5 claims the
-//!   model extends to (points, volumes, K-coverage, connectivity).
+//! * [`UnionFind`] — the disjoint-set forest used by the above.
 //!
 //! # Example
 //!
@@ -52,7 +50,6 @@ pub mod neighbors;
 pub mod par;
 pub mod point;
 pub mod raster;
-pub mod three_d;
 pub mod unionfind;
 
 pub use connectivity::{ConnectivityReport, CONNECTIVITY_FACTOR};

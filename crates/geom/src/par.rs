@@ -4,10 +4,10 @@
 //! [`CoverageCsr`](crate::CoverageCsr) builds are embarrassingly parallel
 //! over node index, but their output order is part of the determinism
 //! contract (grid candidate order within a row, node order across rows).
-//! This module runs per-chunk builders on a bounded worker pool — the same
-//! scoped-threads / shared-claim-counter pattern the sim `Runner` uses for
-//! whole simulations — and returns the chunk outputs **in chunk order**, so
-//! splicing them back together reproduces the serial build byte for byte.
+//! This module runs per-chunk builders on the workspace's one worker pool,
+//! [`peas_des::par::map_ordered`], which returns the chunk outputs **in
+//! chunk order**, so splicing them back together reproduces the serial
+//! build byte for byte.
 //!
 //! ## Memory budget
 //!
@@ -21,8 +21,8 @@
 //! roughly 2× the final footprint, regardless of node count.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+
+use peas_des::par::{default_workers, map_ordered};
 
 /// Node-count threshold below which builds stay serial: thread spawn and
 /// splice overhead outweigh the work for small topologies (the paper's
@@ -35,13 +35,13 @@ pub const PARALLEL_BUILD_THRESHOLD: usize = 8_192;
 pub const BUILD_CHUNK_NODES: usize = 4_096;
 
 /// The worker count for an `n`-node build: serial below
-/// [`PARALLEL_BUILD_THRESHOLD`], otherwise the machine's available
-/// parallelism.
+/// [`PARALLEL_BUILD_THRESHOLD`], otherwise the pool's
+/// [`default_workers`].
 pub fn build_workers(n: usize) -> usize {
     if n < PARALLEL_BUILD_THRESHOLD {
         1
     } else {
-        std::thread::available_parallelism().map_or(1, |w| w.get())
+        default_workers()
     }
 }
 
@@ -54,34 +54,14 @@ pub fn build_workers(n: usize) -> usize {
 /// chunk is independent.
 pub fn chunked_build<T, F>(n: usize, workers: usize, build: F) -> Vec<T>
 where
-    T: Send + Sync,
+    T: Send,
     F: Fn(Range<usize>) -> T + Sync,
 {
     let chunks: Vec<Range<usize>> = (0..n)
         .step_by(BUILD_CHUNK_NODES)
         .map(|lo| lo..(lo + BUILD_CHUNK_NODES).min(n))
         .collect();
-    let workers = workers.min(chunks.len());
-    if workers <= 1 {
-        return chunks.into_iter().map(build).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<OnceLock<T>> = (0..chunks.len()).map(|_| OnceLock::new()).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                let Some(range) = chunks.get(k) else { break };
-                let filled = slots[k].set(build(range.clone()));
-                debug_assert!(filled.is_ok(), "chunk {k} claimed twice");
-            });
-        }
-    });
-    slots
-        .into_iter()
-        // peas-lint: allow(r1-unchecked-panic) -- scope join guarantees every claimed slot was filled; the shared counter claims each exactly once
-        .map(|slot| slot.into_inner().expect("worker pool dropped a chunk"))
-        .collect()
+    map_ordered(&chunks, workers, |range| build(range.clone()))
 }
 
 /// The per-row columns of a chunked CSR build: one `Vec`, or two or three
@@ -211,16 +191,6 @@ mod tests {
                 assert_eq!(w[0].end, w[1].start, "chunks must be contiguous");
             }
         }
-    }
-
-    #[test]
-    fn parallel_output_matches_serial() {
-        let n = BUILD_CHUNK_NODES * 3 + 5;
-        let build = |r: Range<usize>| r.map(|i| i * i).collect::<Vec<usize>>();
-        let serial: Vec<usize> = chunked_build(n, 1, build).concat();
-        let parallel: Vec<usize> = chunked_build(n, 8, build).concat();
-        assert_eq!(serial, parallel);
-        assert_eq!(serial.len(), n);
     }
 
     /// A toy CSR build: node `i` has `i % 3` rows, each holding `i`.

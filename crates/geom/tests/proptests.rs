@@ -3,7 +3,6 @@
 use proptest::prelude::*;
 
 use peas_des::rng::SimRng;
-use peas_geom::three_d::{greedy_working_set, Volume};
 use peas_geom::{
     connectivity, CoverageCsr, CoverageGrid, Deployment, Field, NeighborTables, Point, SpatialGrid,
     UnionFind,
@@ -221,30 +220,6 @@ proptest! {
             let pts = deployment.generate(field, n, &mut SimRng::new(seed));
             prop_assert_eq!(pts.len(), n);
             prop_assert!(pts.iter().all(|&p| field.contains(p)));
-        }
-    }
-
-    /// 3-D greedy working sets are Rp-separated and cover every candidate
-    /// (the probing-rule invariant, footnote 5's claim that the model
-    /// generalizes to 3-D).
-    #[test]
-    fn greedy_3d_working_set_invariants(
-        seed in any::<u64>(),
-        n in 10usize..400,
-        rp in 2.0f64..8.0,
-    ) {
-        let volume = Volume::new(30.0, 30.0, 30.0);
-        let mut rng = SimRng::new(seed);
-        let candidates = volume.deploy_uniform(n, &mut rng);
-        let working = greedy_working_set(&candidates, rp);
-        prop_assert!(!working.is_empty());
-        for i in 0..working.len() {
-            for j in (i + 1)..working.len() {
-                prop_assert!(working[i].distance(working[j]) > rp);
-            }
-        }
-        for c in &candidates {
-            prop_assert!(working.iter().any(|w| w.within(*c, rp)));
         }
     }
 }

@@ -88,6 +88,7 @@ impl ModelWorld {
             panic!("invalid model configuration: {e}");
         }
         let n = cfg.nodes as usize;
+        // `validate` above checked `cfg.peas`, once for every node.
         let peas = Arc::new(cfg.peas.clone());
         let mut world = ModelWorld {
             cfg,

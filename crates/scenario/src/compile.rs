@@ -4,7 +4,7 @@
 //! Unspecified keys default to [`ScenarioConfig::paper`] for the declared
 //! `[deployment] count`, so a scenario file states only what *differs*
 //! from Section 5 of the paper — and a file that states nothing compiles
-//! to exactly the config the Rust sweeps build, which is what makes the
+//! to exactly `ScenarioConfig::paper`'s config, which is what makes the
 //! byte-identical-fingerprint equivalence tests possible.
 //!
 //! Diagnostics are part of the contract: messages are stable strings
@@ -143,7 +143,8 @@ pub struct CompiledScenario {
 impl CompiledScenario {
     /// Expands the scenario into its concrete runs, in deterministic
     /// order: for each sweep value (in declaration order), each seed (in
-    /// declaration order) — the same flattening the Rust sweeps use.
+    /// declaration order) — the order `paper` groups a sweep's reports
+    /// into figure points in.
     pub fn runs(&self) -> Vec<SweepRun> {
         match &self.sweep {
             None => vec![SweepRun {

@@ -9,7 +9,7 @@
 //! ```text
 //! .peas source --parse--> ScenarioDoc --extends/merge--> flattened doc
 //!      --compile--> CompiledScenario { ScenarioConfig(s), sweep, golden }
-//!      --Runner--> RunReport --Snapshot::of_report--> golden snapshot
+//!      --World::run / run_all--> RunReport --Snapshot::of_report--> golden snapshot
 //! ```
 //!
 //! Design rules:

@@ -53,9 +53,8 @@ use std::fmt::Write as _;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
+use peas_des::par::for_each_claimed;
 use peas_des::{fnv1a, DetMap, DetSet};
 
 use crate::config::ScenarioConfig;
@@ -64,7 +63,7 @@ use crate::report_json::{
     encoded_len_hint, fill, json_escape, parse_hex, parse_json, push_escaped, push_report,
     required, Json, Reader,
 };
-use crate::runner::Runner;
+use crate::world::World;
 
 /// The content address of a sweep run: the fingerprint of its config
 /// (seed excluded) plus the seed. Two shards with equal keys are the same
@@ -486,9 +485,10 @@ impl ResultCache {
         Ok(hashes)
     }
 
-    /// Executes `shards` on a bounded pool of `workers` threads, each
-    /// appending verified records to its own segment (writer slot =
-    /// thread index) and flushing after every shard — a SIGKILL at any
+    /// Executes `shards` on [`peas_des::par`]'s pool of at most `workers`
+    /// workers, each appending verified records to its own segment
+    /// (writer slot = worker index, the segment opened at the worker's
+    /// first append) and flushing after every shard — a SIGKILL at any
     /// moment leaves at most one torn tail per writer. Workers pull the
     /// next un-started shard from a shared counter. Returns the number
     /// of shards executed (always `shards.len()` on success).
@@ -500,63 +500,30 @@ impl ResultCache {
     ///
     /// # Errors
     ///
-    /// Propagates the first segment-append failure.
+    /// The first failure to open or append to a segment, in worker
+    /// order. A worker that fails stops claiming shards; the others
+    /// finish theirs.
     ///
     /// # Panics
     ///
     /// Panics if `workers` is 0, or if a simulation run itself panics.
     pub fn execute(&self, shards: &[Shard], workers: usize) -> io::Result<usize> {
         assert!(workers >= 1, "need at least one worker thread");
-        if shards.is_empty() {
-            return Ok(0);
-        }
-        let workers = workers.min(shards.len());
-        if workers == 1 {
-            let mut writer = self.writer(0)?;
-            for shard in shards {
-                let report = Runner::new(shard.config.clone()).run_single();
-                writer.append(shard.key, &shard.label, &report)?;
-            }
-            return Ok(shards.len());
-        }
-        let next = AtomicUsize::new(0);
-        let first_err: Mutex<Option<io::Error>> = Mutex::new(None);
-        std::thread::scope(|scope| {
-            for wi in 0..workers {
-                let (next, first_err) = (&next, &first_err);
-                scope.spawn(move || {
-                    let mut writer: Option<CacheWriter> = None;
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(shard) = shards.get(i) else {
-                            return;
-                        };
-                        let report = Runner::new(shard.config.clone()).run_single();
-                        let step = (|| -> io::Result<()> {
-                            let out = match &mut writer {
-                                Some(w) => w,
-                                None => writer.insert(self.writer(wi)?),
-                            };
-                            out.append(shard.key, &shard.label, &report)
-                        })();
-                        if let Err(e) = step {
-                            let mut slot = first_err
-                                .lock()
-                                .unwrap_or_else(|poison| poison.into_inner());
-                            slot.get_or_insert(e);
-                            return;
-                        }
-                    }
-                });
-            }
-        });
-        match first_err
-            .into_inner()
-            .unwrap_or_else(|poison| poison.into_inner())
-        {
-            Some(e) => Err(e),
-            None => Ok(shards.len()),
-        }
+        let outcomes: Vec<io::Result<()>> =
+            for_each_claimed(shards.len(), workers, |worker, claims| {
+                let mut writer: Option<CacheWriter> = None;
+                for shard in claims.map(|i| &shards[i]) {
+                    let report = World::new(shard.config.clone()).run();
+                    let out = match &mut writer {
+                        Some(w) => w,
+                        None => writer.insert(self.writer(worker)?),
+                    };
+                    out.append(shard.key, &shard.label, &report)?;
+                }
+                Ok(())
+            });
+        outcomes.into_iter().collect::<io::Result<()>>()?;
+        Ok(shards.len())
     }
 }
 
@@ -662,8 +629,8 @@ impl SweepPlan {
     }
 
     /// Merges the cache into this plan's reports, in shard-enumeration
-    /// order — the exact `Vec<RunReport>` an uninterrupted
-    /// `Runner::configs(..).run()` over the same enumeration returns.
+    /// order — the exact `Vec<RunReport>` that [`crate::run_all`] over
+    /// the same enumeration's configs returns.
     ///
     /// # Errors
     ///
@@ -717,7 +684,7 @@ mod tests {
 
     #[test]
     fn cache_line_round_trips_and_rejects_any_flip() {
-        let report = Runner::new(tiny(1)).run_single();
+        let report = World::new(tiny(1)).run();
         let key = ShardKey {
             fingerprint: 0xDEAD_BEEF_0123_4567,
             seed: 1,

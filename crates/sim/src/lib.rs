@@ -23,7 +23,10 @@
 //! assert!(report.samples.iter().any(|s| s.working > 5 && s.sleeping > 10));
 //! ```
 //!
-//! For the paper's exact evaluation setting use
+//! A batch of runs — the seeds of a sweep point, a whole sweep — is
+//! [`run_all`], which runs the configs on the workspace's one worker pool
+//! ([`peas_des::par`]) and returns the reports in input order. For the
+//! paper's exact evaluation setting use
 //! [`ScenarioConfig::paper`]`(node_count)` and the experiment binaries in
 //! `peas-bench`.
 
@@ -35,7 +38,6 @@ pub mod config;
 pub mod job;
 pub mod metrics;
 pub mod report_json;
-pub mod runner;
 pub mod trace;
 pub mod world;
 
@@ -48,6 +50,5 @@ pub use job::{JobOutcome, JobProgress, JobSource, JobSpec, JOB_SCHEMA};
 pub use metrics::{RunReport, Sample};
 pub use peas_des::fnv1a;
 pub use report_json::{decode_report, encode_report, REPORT_SCHEMA};
-pub use runner::{average_metric, AveragedPoint, Runner};
 pub use trace::{DeathKind, FrameKind, TraceCounts, TraceEvent, TraceSink};
-pub use world::World;
+pub use world::{run_all, World};

@@ -338,6 +338,7 @@ impl World {
             tx_busy_until: vec![SimTime::ZERO; n],
             timers: TimerTable::new(n),
         };
+        // `validate` above checked `config.peas`, once for every node.
         let peas_config = Arc::new(config.peas.clone());
         for i in 0..n {
             // Same per-node order as ever: battery draw, then the node's
@@ -1279,6 +1280,24 @@ impl World {
     }
 }
 
+/// Runs every config to completion on [`peas_des::par`]'s pool, with its
+/// default worker count, and returns the reports in input order.
+///
+/// Each run is independent (its own world, RNG streams and medium), so
+/// the reports equal `World::new(config).run()` for each config in turn;
+/// only the wall time depends on the pool. The paper's figure points,
+/// "averaged over 5 simulation runs" (Section 5.2), are the seeds of one
+/// config run this way.
+///
+/// # Panics
+///
+/// Panics if any config fails [`ScenarioConfig::validate`].
+pub fn run_all(configs: Vec<ScenarioConfig>) -> Vec<RunReport> {
+    peas_des::par::map_ordered(&configs, peas_des::par::default_workers(), |config| {
+        World::new(config.clone()).run()
+    })
+}
+
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum DeathCause {
     Failure,
@@ -1358,6 +1377,22 @@ mod tests {
         }
         let c = run(6);
         assert_ne!(a.total_wakeups(), c.total_wakeups());
+    }
+
+    #[test]
+    fn run_all_equals_one_world_per_config_in_input_order() {
+        let mut config = quick_config(25, 0);
+        config.horizon = SimTime::from_secs(300);
+        let configs: Vec<_> = (1..=5).map(|seed| config.clone().with_seed(seed)).collect();
+        let serial: Vec<_> = configs
+            .iter()
+            .map(|c| World::new(c.clone()).run())
+            .collect();
+        let reports = run_all(configs);
+        let seeds: Vec<u64> = reports.iter().map(|r| r.seed).collect();
+        assert_eq!(seeds, [1, 2, 3, 4, 5]);
+        assert_eq!(reports, serial);
+        assert!(run_all(Vec::new()).is_empty());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! 1. **Differential byte-identity** — a report served from the cache
 //!    encodes (schema-1) to exactly the bytes a fresh
-//!    `Runner::new(cfg).run_single()` produces, and re-submitting an
+//!    `World::new(cfg).run()` produces, and re-submitting an
 //!    identical sweep executes zero shards.
 //! 2. **Overlap dedup** (property test) — across arbitrary overlapping
 //!    sweeps submitted in arbitrary order, the executed shards are
@@ -21,7 +21,7 @@ use proptest::prelude::*;
 
 use peas_des::time::SimTime;
 use peas_sim::{
-    config_fingerprint, encode_report, ResultCache, Runner, ScenarioConfig, ShardKey, SweepPlan,
+    config_fingerprint, encode_report, ResultCache, ScenarioConfig, ShardKey, SweepPlan, World,
 };
 
 /// The four grid points every test here sweeps over: 2 densities x 2
@@ -47,7 +47,7 @@ fn grid() -> Vec<(String, ScenarioConfig)> {
 }
 
 /// Cold-run reference bytes per grid key, computed once: what an
-/// uncached `Runner` says each shard's schema-1 line must be.
+/// uncached `World` run says each shard's schema-1 line must be.
 fn reference() -> &'static BTreeMap<ShardKey, String> {
     static REFERENCE: OnceLock<BTreeMap<ShardKey, String>> = OnceLock::new();
     REFERENCE.get_or_init(|| {
@@ -58,7 +58,7 @@ fn reference() -> &'static BTreeMap<ShardKey, String> {
                     fingerprint: config_fingerprint(&config),
                     seed: config.seed,
                 };
-                (key, encode_report(&Runner::new(config).run_single()))
+                (key, encode_report(&World::new(config).run()))
             })
             .collect()
     })

@@ -8,8 +8,8 @@ use peas_des::time::SimTime;
 use peas_radio::{EnergyCause, EnergyLedger, MediumStats};
 use peas_sim::report_json::parse_json;
 use peas_sim::{
-    decode_report, encode_report, BatterySpec, FailureConfig, RunReport, Runner, Sample,
-    ScenarioConfig,
+    decode_report, encode_report, BatterySpec, FailureConfig, RunReport, Sample, ScenarioConfig,
+    World,
 };
 
 fn arb_scenario() -> impl Strategy<Value = ScenarioConfig> {
@@ -42,7 +42,7 @@ proptest! {
     /// Core run invariants hold for arbitrary scenarios.
     #[test]
     fn run_invariants(config in arb_scenario()) {
-        let report = Runner::new(config.clone()).run_single();
+        let report = World::new(config.clone()).run();
         // Samples advance in time.
         for w in report.samples.windows(2) {
             prop_assert!(w[0].t_secs < w[1].t_secs);
@@ -80,8 +80,8 @@ proptest! {
     /// Bit-for-bit determinism for arbitrary scenarios.
     #[test]
     fn runs_are_reproducible(config in arb_scenario()) {
-        let a = Runner::new(config.clone()).run_single();
-        let b = Runner::new(config).run_single();
+        let a = World::new(config.clone()).run();
+        let b = World::new(config).run();
         prop_assert_eq!(a.samples, b.samples);
         prop_assert_eq!(a.node_stats, b.node_stats);
         prop_assert_eq!(a.medium, b.medium);
@@ -94,7 +94,7 @@ proptest! {
     /// overhead is consistent with its parts.
     #[test]
     fn overhead_is_a_fraction(config in arb_scenario()) {
-        let report = Runner::new(config).run_single();
+        let report = World::new(config).run();
         let ratio = report.overhead_ratio();
         prop_assert!((0.0..=1.0).contains(&ratio), "ratio {ratio}");
         prop_assert!(report.overhead_j() <= report.ledger.total_j() + 1e-9);

@@ -11,14 +11,14 @@ use peas::NodeStats;
 use peas_des::time::SimTime;
 use peas_radio::{EnergyCause, EnergyLedger, MediumStats};
 use peas_sim::{
-    decode_report, encode_report, fnv1a, RunReport, Runner, Sample, ScenarioConfig, REPORT_SCHEMA,
+    decode_report, encode_report, fnv1a, RunReport, Sample, ScenarioConfig, World, REPORT_SCHEMA,
 };
 
 fn sample_report() -> peas_sim::RunReport {
     let mut config = ScenarioConfig::small();
     config.node_count = 25;
     config.horizon = SimTime::from_secs(300);
-    Runner::new(config.with_seed(7)).run_single()
+    World::new(config.with_seed(7)).run()
 }
 
 /// Every `"key":` occurrence in encoding order. Object nesting does not

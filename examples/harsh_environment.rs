@@ -11,7 +11,7 @@
 
 use peas_repro::baselines::{BaselineScenario, SleepScheduler, SynchronizedRounds};
 use peas_repro::scenario::load_compiled;
-use peas_repro::simulation::Runner;
+use peas_repro::simulation::World;
 use std::path::Path;
 
 fn main() {
@@ -36,7 +36,7 @@ fn main() {
             .failure
             .expect("every sweep point injects failures")
             .rate_per_5000s;
-        let report = Runner::new(run.config).run_single();
+        let report = World::new(run.config).run();
         let peas_life = report.coverage_lifetime(4, 0.9);
 
         // The synchronized strawman on the coarse energy/coverage model.

@@ -14,7 +14,7 @@ use peas_repro::radio::PropagationSpec;
 // now — one canonical encoding shared by this test, the `.peas` golden
 // snapshots and the `scenario` driver binary.
 use peas_repro::scenario::sample_fingerprint;
-use peas_repro::simulation::{Runner, ScenarioConfig};
+use peas_repro::simulation::{ScenarioConfig, World};
 
 const GOLDEN_FINGERPRINT: u64 = 0x4053_87E1_0CC7_2444;
 
@@ -27,7 +27,7 @@ const GOLDEN_FINGERPRINT_SHADOWED: u64 = 0xCA76_1049_62AF_AC70;
 fn small_scenario_fingerprint_is_stable() {
     let mut config = ScenarioConfig::paper(100).with_seed(2024);
     config.horizon = SimTime::from_secs(1_500);
-    let report = Runner::new(config).run_single();
+    let report = World::new(config).run();
     let fp = sample_fingerprint(&report);
     assert_eq!(
         fp, GOLDEN_FINGERPRINT,
@@ -43,7 +43,7 @@ fn shadowed_scenario_fingerprint_is_stable() {
     config.horizon = SimTime::from_secs(1_500);
     config.propagation = PropagationSpec::shadowed(7);
     config.loss_rate = 0.05;
-    let report = Runner::new(config).run_single();
+    let report = World::new(config).run();
     let fp = sample_fingerprint(&report);
     assert_eq!(
         fp, GOLDEN_FINGERPRINT_SHADOWED,

@@ -6,7 +6,7 @@ use peas_repro::analysis::check_working_set;
 use peas_repro::des::time::SimTime;
 use peas_repro::geometry::Deployment;
 use peas_repro::protocol::PeasConfig;
-use peas_repro::simulation::{BatterySpec, Runner, ScenarioConfig, World};
+use peas_repro::simulation::{run_all, BatterySpec, ScenarioConfig, World};
 
 /// A small, fast scenario used throughout this file.
 fn small(n: usize, seed: u64) -> ScenarioConfig {
@@ -19,8 +19,8 @@ fn small(n: usize, seed: u64) -> ScenarioConfig {
 fn identical_seeds_produce_identical_runs() {
     let mut config = ScenarioConfig::paper(60).with_seed(77);
     config.horizon = SimTime::from_secs(800);
-    let a = Runner::new(config.clone()).run_single();
-    let b = Runner::new(config).run_single();
+    let a = World::new(config.clone()).run();
+    let b = World::new(config).run();
     assert_eq!(a.samples.len(), b.samples.len());
     for (sa, sb) in a.samples.iter().zip(&b.samples) {
         assert_eq!(sa, sb);
@@ -39,7 +39,7 @@ fn lifetime_scales_with_deployment_size() {
         let mut c = small(n, 5);
         c.battery = BatterySpec::Fixed(3.0); // ~250 s of working time
         c.horizon = SimTime::from_secs(6_000);
-        Runner::new(c).run_single().coverage_lifetime(1, 0.9)
+        World::new(c).run().coverage_lifetime(1, 0.9)
     };
     let l60 = lifetime(60);
     let l180 = lifetime(180);
@@ -58,7 +58,7 @@ fn network_survives_heavy_failures() {
         let mut c = small(120, 9).with_failure_rate(rate);
         c.battery = BatterySpec::Fixed(4.0);
         c.horizon = SimTime::from_secs(6_000);
-        Runner::new(c).run_single().coverage_lifetime(1, 0.9)
+        World::new(c).run().coverage_lifetime(1, 0.9)
     };
     let clean = lifetime(0.0);
     let harsh = lifetime(60.0); // scaled to the small field/population
@@ -87,7 +87,7 @@ fn grab_delivers_through_the_working_set() {
     let mut config = ScenarioConfig::paper(240).with_seed(21);
     config.failure = None;
     config.horizon = SimTime::from_secs(700);
-    let report = Runner::new(config).run_single();
+    let report = World::new(config).run();
     assert!(report.generated_reports >= 60);
     let ratio = report.final_delivery_ratio().unwrap();
     assert!(ratio > 0.85, "delivery ratio {ratio}");
@@ -126,7 +126,7 @@ fn working_sets_satisfy_section_3_connectivity() {
 fn energy_ledger_balances_battery_drain() {
     let mut c = small(80, 13);
     c.horizon = SimTime::from_secs(1_000);
-    let report = Runner::new(c).run_single();
+    let report = World::new(c).run();
     assert!(
         (report.ledger.total_j() - report.consumed_j).abs() < 1e-6,
         "ledger {} J vs batteries {} J",
@@ -146,7 +146,7 @@ fn adaptive_sleeping_regulates_wakeups() {
         .with_failure_rate(0.0);
     c.grab = None;
     c.horizon = SimTime::from_secs(3_000);
-    let report = Runner::new(c).run_single();
+    let report = World::new(c).run();
     let late = report
         .perceived_aggregate_rate(1_500.0, 3_000.0)
         .expect("rate measurable");
@@ -183,7 +183,7 @@ fn fixed_power_mode_runs_end_to_end() {
     let mut c = small(100, 23);
     c.peas = PeasConfig::builder().fixed_power(10.0).build();
     c.horizon = SimTime::from_secs(600);
-    let report = Runner::new(c).run_single();
+    let report = World::new(c).run();
     // The threshold filter must still produce a sensible working set.
     let working = report.working_series().value_at(500.0);
     assert!(working > 10.0, "fixed-power working set {working}");
@@ -195,7 +195,7 @@ fn lossy_channels_are_survivable() {
     let mut c = small(100, 27);
     c.loss_rate = 0.1; // the Section 4 operating point
     c.horizon = SimTime::from_secs(1_000);
-    let report = Runner::new(c).run_single();
+    let report = World::new(c).run();
     let cov = report.coverage_series(1).value_at(800.0);
     assert!(cov > 0.9, "1-coverage under 10% loss: {cov}");
 }
@@ -204,7 +204,7 @@ fn lossy_channels_are_survivable() {
 fn multi_seed_runner_averages() {
     let mut c = small(50, 0);
     c.horizon = SimTime::from_secs(400);
-    let reports = Runner::new(c).seeds(&[1, 2, 3]).run();
+    let reports = run_all((1..=3).map(|seed| c.clone().with_seed(seed)).collect());
     assert_eq!(reports.len(), 3);
     let seeds: Vec<u64> = reports.iter().map(|r| r.seed).collect();
     assert_eq!(seeds, vec![1, 2, 3]);
@@ -219,7 +219,7 @@ fn event_workload_detects_and_delivers() {
         rate_per_100s: 50.0,
     });
     c.horizon = SimTime::from_secs(1_500);
-    let report = Runner::new(c).run_single();
+    let report = World::new(c).run();
     assert!(report.events_total > 300, "events {}", report.events_total);
     let detection = report.event_detection_ratio().unwrap();
     // 10 m sensing over a dense working set: essentially everything seen.
@@ -240,7 +240,7 @@ fn single_node_network_works_until_death() {
     c.deployment = Deployment::Explicit(vec![Point::new(12.0, 12.0)]);
     c.battery = BatterySpec::Fixed(1.0); // ~83 s awake
     c.horizon = SimTime::from_secs(2_000);
-    let report = Runner::new(c).run_single();
+    let report = World::new(c).run();
     assert_eq!(report.energy_deaths, 1);
     assert!(report.total_wakeups() >= 1);
     let last = report.samples.last().unwrap();
@@ -261,7 +261,7 @@ fn combined_stress_loss_shadowing_failures() {
     c.propagation = PropagationSpec::shadowed(55);
     c.peas = PeasConfig::builder().fixed_power(10.0).build();
     c.horizon = SimTime::from_secs(2_000);
-    let report = Runner::new(c).run_single();
+    let report = World::new(c).run();
     let cov = report.coverage_series(1).value_at(1_500.0);
     assert!(cov > 0.85, "1-coverage under combined stress: {cov}");
     assert!(report.failures_injected > 0);
@@ -278,7 +278,7 @@ fn grab_source_keeps_generating_after_sensor_extinction() {
     c.battery = BatterySpec::Fixed(2.0);
     c.failure = None;
     c.horizon = SimTime::from_secs(3_000);
-    let report = Runner::new(c).run_single();
+    let report = World::new(c).run();
     let last = report.samples.last().unwrap();
     assert_eq!(last.alive, 0);
     assert!(report.generated_reports > 0);

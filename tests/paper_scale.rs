@@ -1,22 +1,29 @@
 //! Paper-scale acceptance tests: full Section 5 scenarios asserting the
-//! quantitative bands EXPERIMENTS.md documents. These take tens of seconds
-//! each in release mode, so they are `#[ignore]`d by default:
+//! quantitative bands EXPERIMENTS.md documents. They are `#[ignore]`d by
+//! default, because a debug build takes minutes over them; the CI `test`
+//! job runs them in release mode, where the five take a few seconds:
 //!
 //! ```text
 //! cargo test --release --test paper_scale -- --ignored
 //! ```
 
-use peas_repro::simulation::{Runner, ScenarioConfig};
+use peas_repro::simulation::{run_all, RunReport, ScenarioConfig, World};
 
 const THRESHOLD: f64 = 0.9;
+
+/// `config` under seeds 101 and 102.
+fn run_seeds(config: &ScenarioConfig) -> Vec<RunReport> {
+    run_all(vec![
+        config.clone().with_seed(101),
+        config.clone().with_seed(102),
+    ])
+}
 
 #[test]
 #[ignore = "paper-scale; run with --ignored in release mode"]
 fn figure_9_lifetime_grows_linearly_with_population() {
     let life = |n: usize| {
-        let reports = Runner::new(ScenarioConfig::paper(n))
-            .seeds(&[101, 102])
-            .run();
+        let reports = run_seeds(&ScenarioConfig::paper(n));
         reports
             .iter()
             .map(|r| r.coverage_lifetime(4, THRESHOLD))
@@ -41,9 +48,7 @@ fn figure_9_lifetime_grows_linearly_with_population() {
 #[ignore = "paper-scale; run with --ignored in release mode"]
 fn figure_12_lifetime_survives_38_percent_failures() {
     let life = |rate: f64| {
-        let reports = Runner::new(ScenarioConfig::paper(480).with_failure_rate(rate))
-            .seeds(&[101, 102])
-            .run();
+        let reports = run_seeds(&ScenarioConfig::paper(480).with_failure_rate(rate));
         reports
             .iter()
             .map(|r| r.coverage_lifetime(4, THRESHOLD))
@@ -66,7 +71,7 @@ fn figure_12_lifetime_survives_38_percent_failures() {
 #[ignore = "paper-scale; run with --ignored in release mode"]
 fn table_1_overhead_stays_below_one_percent() {
     for n in [160usize, 800] {
-        let report = Runner::new(ScenarioConfig::paper(n).with_seed(101)).run_single();
+        let report = World::new(ScenarioConfig::paper(n).with_seed(101)).run();
         let ratio = report.overhead_ratio();
         assert!(ratio < 0.01, "N={n}: overhead ratio {ratio}");
         assert!(ratio > 0.0005, "N={n}: implausibly low overhead {ratio}");
@@ -76,7 +81,7 @@ fn table_1_overhead_stays_below_one_percent() {
 #[test]
 #[ignore = "paper-scale; run with --ignored in release mode"]
 fn figure_10_delivery_lifetime_tracks_coverage() {
-    let report = Runner::new(ScenarioConfig::paper(480).with_seed(101)).run_single();
+    let report = World::new(ScenarioConfig::paper(480).with_seed(101)).run();
     let cov4 = report.coverage_lifetime(4, THRESHOLD);
     let delivery = report.delivery_lifetime(THRESHOLD);
     assert!(delivery > 0.6 * cov4, "delivery {delivery} vs cov4 {cov4}");
@@ -88,7 +93,7 @@ fn figure_10_delivery_lifetime_tracks_coverage() {
 fn soak_800_nodes_to_extinction() {
     // Run the largest paper scenario until every sensor is dead and check
     // the end-state invariants hold over the whole multi-generation life.
-    let report = Runner::new(ScenarioConfig::paper(800).with_seed(103)).run_single();
+    let report = World::new(ScenarioConfig::paper(800).with_seed(103)).run();
     let last = report.samples.last().expect("samples recorded");
     assert_eq!(last.alive, 0, "the run should end with everyone dead");
     assert!(

@@ -1,8 +1,9 @@
 //! Tier-1 scenario conformance: every `.peas` file under `scenarios/`
 //! must (a) load and compile, (b) reproduce its committed golden
-//! snapshot exactly, and (c) — for the paper sweeps — expand to configs
-//! byte-identical to the ones the Rust sweep builders construct, proven
-//! down to the event-stream fingerprint.
+//! snapshot exactly, and (c) — for the paper sweeps, which the `paper`
+//! binary reads from these files — expand to exactly the paper's grid
+//! (Section 5.2) of `ScenarioConfig::paper` configs, proven down to the
+//! event-stream fingerprint.
 //!
 //! On drift the failure message names the scenario file and the first
 //! diverging snapshot field; regenerate deliberately with
@@ -10,12 +11,11 @@
 
 use std::path::{Path, PathBuf};
 
-use peas_bench::sweeps::{PAPER_FAILURE_RATES, PAPER_NODE_COUNTS, PAPER_SEEDS};
 use peas_repro::des::time::SimTime;
 use peas_repro::scenario::{
     first_divergence, load_compiled, sample_fingerprint, CompiledScenario, Snapshot,
 };
-use peas_repro::simulation::{Runner, ScenarioConfig};
+use peas_repro::simulation::{ScenarioConfig, World};
 
 fn repo_root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -111,7 +111,7 @@ fn corpus_matches_committed_golden_snapshots() {
             peas_bench::model_gate::model_snapshot(&scenario)
                 .unwrap_or_else(|e| panic!("{}: {e}", path.display()))
         } else {
-            Snapshot::of_report(&Runner::new(scenario.golden_config()).run_single())
+            Snapshot::of_report(&World::new(scenario.golden_config()).run())
         };
         if let Some(divergence) = first_divergence(&expected, &actual) {
             panic!(
@@ -124,34 +124,35 @@ fn corpus_matches_committed_golden_snapshots() {
     }
 }
 
-/// The fig9 scenario expands to configs byte-identical to the Rust
-/// deployment sweep behind Figures 9-11 and Table 1.
+/// The paper's five runs per point (Section 5.2).
+const PAPER_SEEDS: [u64; 5] = [101, 102, 103, 104, 105];
+
+/// The fig9 scenario is the paper's deployment sweep behind Figures
+/// 9-11 and Table 1: N in {160, 320, 480, 640, 800} at a failure rate of
+/// 10.66 per 5000 s, five seeds per point, values-major.
 #[test]
 fn fig9_scenario_equals_rust_deployment_sweep() {
     let scenario = load_by_name("fig9.peas");
-    let expected: Vec<ScenarioConfig> = PAPER_NODE_COUNTS
-        .iter()
-        .flat_map(|&n| {
-            PAPER_SEEDS
-                .iter()
-                .map(move |&seed| ScenarioConfig::paper(n).with_seed(seed))
-        })
+    let expected: Vec<ScenarioConfig> = [160, 320, 480, 640, 800]
+        .into_iter()
+        .flat_map(|n| PAPER_SEEDS.map(|seed| ScenarioConfig::paper(n).with_seed(seed)))
         .collect();
     let actual: Vec<ScenarioConfig> = scenario.runs().into_iter().map(|r| r.config).collect();
     assert_eq!(
         actual, expected,
-        "fig9.peas must expand to exactly the deployment_sweep configs"
+        "fig9.peas must expand to exactly the paper's deployment sweep"
     );
 }
 
-/// Same for fig12 against the failure-rate sweep behind Figures 12-14.
+/// The fig12 scenario is the paper's failure-rate sweep behind Figures
+/// 12-14: N = 480, rates 5.33 x {1..9} per 5000 s, five seeds per point.
 #[test]
 fn fig12_scenario_equals_rust_failure_sweep() {
     let scenario = load_by_name("fig12.peas");
-    let expected: Vec<ScenarioConfig> = PAPER_FAILURE_RATES
-        .iter()
-        .flat_map(|&rate| {
-            PAPER_SEEDS.iter().map(move |&seed| {
+    let expected: Vec<ScenarioConfig> = [5.33, 10.66, 16.0, 21.33, 26.66, 32.0, 37.33, 42.66, 48.0]
+        .into_iter()
+        .flat_map(|rate| {
+            PAPER_SEEDS.map(|seed| {
                 ScenarioConfig::paper(480)
                     .with_failure_rate(rate)
                     .with_seed(seed)
@@ -161,7 +162,7 @@ fn fig12_scenario_equals_rust_failure_sweep() {
     let actual: Vec<ScenarioConfig> = scenario.runs().into_iter().map(|r| r.config).collect();
     assert_eq!(
         actual, expected,
-        "fig12.peas must expand to exactly the failure_sweep configs"
+        "fig12.peas must expand to exactly the paper's failure sweep"
     );
 }
 
@@ -196,8 +197,8 @@ fn sweep_point_fingerprints_are_byte_identical() {
     from_dsl.horizon = SimTime::from_secs(600);
     from_rust.horizon = SimTime::from_secs(600);
     assert_eq!(
-        sample_fingerprint(&Runner::new(from_dsl).run_single()),
-        sample_fingerprint(&Runner::new(from_rust).run_single()),
+        sample_fingerprint(&World::new(from_dsl).run()),
+        sample_fingerprint(&World::new(from_rust).run()),
         "fig9.peas N=320/seed=102 must replay the Rust config bit for bit"
     );
 }
@@ -278,7 +279,7 @@ fn example_scenarios_match_their_rust_twins() {
     dsl.horizon = SimTime::from_secs(500);
     rust.horizon = SimTime::from_secs(500);
     assert_eq!(
-        sample_fingerprint(&Runner::new(dsl).run_single()),
-        sample_fingerprint(&Runner::new(rust).run_single())
+        sample_fingerprint(&World::new(dsl).run()),
+        sample_fingerprint(&World::new(rust).run())
     );
 }

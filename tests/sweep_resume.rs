@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use peas_bench::{run_plan, PlanRun};
 use peas_repro::scenario::load_compiled;
 use peas_repro::simulation::report_json::parse_json;
-use peas_repro::simulation::{encode_report, ResultCache, Runner, SweepPlan};
+use peas_repro::simulation::{encode_report, run_all, ResultCache, SweepPlan, World};
 
 fn sweep_smoke() -> SweepPlan {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("scenarios/sweep-smoke.peas");
@@ -32,11 +32,7 @@ fn sweep_smoke() -> SweepPlan {
 /// The uninterrupted reference: every shard run directly, no cache.
 fn reference(plan: &SweepPlan) -> Vec<String> {
     let configs = plan.shards().iter().map(|s| s.config.clone()).collect();
-    Runner::configs(configs)
-        .run()
-        .iter()
-        .map(encode_report)
-        .collect()
+    run_all(configs).iter().map(encode_report).collect()
 }
 
 fn temp_cache(tag: &str) -> (PathBuf, ResultCache) {
@@ -64,7 +60,7 @@ fn fill_two_writers(cache: &ResultCache, plan: &SweepPlan) {
     for slot in 0..2 {
         let mut writer = cache.writer(slot).expect("open writer");
         for shard in plan.shards().iter().filter(|s| s.index % 2 == slot) {
-            let report = Runner::new(shard.config.clone()).run_single();
+            let report = World::new(shard.config.clone()).run();
             writer
                 .append(shard.key, &shard.label, &report)
                 .expect("append");
@@ -126,7 +122,7 @@ fn resume_onto_same_torn_segment_recovers_the_shard() {
     assert_eq!(novel_indices(&cache, &plan), vec![3]);
 
     let shard = &plan.shards()[3];
-    let report = Runner::new(shard.config.clone()).run_single();
+    let report = World::new(shard.config.clone()).run();
     cache
         .writer(1)
         .expect("reopen the torn segment")
