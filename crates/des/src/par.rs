@@ -77,8 +77,8 @@ where
 
 /// Maps `f` over `items` on at most `workers` workers and returns the
 /// results in input order, whatever order they finish in. With one
-/// worker, or at most one item, it is a plain loop on the caller's
-/// thread.
+/// worker, or at most one item, [`for_each_claimed`] runs the whole
+/// batch on the caller's thread and spawns nothing.
 ///
 /// # Panics
 ///
@@ -89,9 +89,6 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    if workers <= 1 || items.len() <= 1 {
-        return items.iter().map(f).collect();
-    }
     let mut done: Vec<(usize, R)> = for_each_claimed(items.len(), workers, |_, claims| {
         claims.map(|i| (i, f(&items[i]))).collect::<Vec<_>>()
     })
@@ -118,6 +115,8 @@ mod tests {
             )
         });
         assert_eq!(runs, vec![(0, caller, vec![0, 1, 2, 3, 4])]);
+        let mapped = map_ordered(&[1, 2, 3], 1, |_| std::thread::current().id());
+        assert_eq!(mapped, vec![caller; 3]);
     }
 
     #[test]
